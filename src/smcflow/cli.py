@@ -101,6 +101,15 @@ def _outdir(cfg, override) -> Path:
     return out
 
 
+def _blowup_abort(result) -> int:
+    print(
+        f"aborted: non-finite field at step {result.blowup_step}, "
+        f"grid index {result.blowup_index}",
+        file=sys.stderr,
+    )
+    return EXIT_RUNTIME
+
+
 def _cmd_run(args) -> int:
     cfg = config_from_file(args.config)
     out = _outdir(cfg, args.output_dir)
@@ -123,8 +132,7 @@ def _cmd_run(args) -> int:
         checkpoint_cb=checkpoint if args.checkpoint_every else None,
     )
     if result.censored:
-        print(f"aborted: non-finite field at step {result.blowup_step}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _blowup_abort(result)
     write_series(out / "series.csv", result.records)
     if result.steps_done < mc.n_steps:
         write_snapshot(
@@ -151,11 +159,15 @@ def _cmd_resume(args) -> int:
     total = n_steps_of(cfg)
     if step > total:
         raise ConfigError(f"checkpoint step {step} beyond configured n_steps {total}")
+    if abs(t - step * cfg.dt) > 1e-12 * step * cfg.dt:
+        raise ConfigError(
+            f"checkpoint time t = {t!r} at step {step} does not match the config's "
+            f"step * dt = {step * cfg.dt!r} (dt = {cfg.dt!r}); was dt changed?"
+        )
     noise = NoisePath.generate(seed, cfg.dt, total)
     result = run_path(mc, field, noise=noise, start_step=int(step))
     if result.censored:
-        print(f"aborted: non-finite field at step {result.blowup_step}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _blowup_abort(result)
     write_series(out / "series_resume.csv", result.records)
     write_snapshot(out / "final.snap", result.terminal, mc.horizon, seed, result.steps_done)
     print(f"resumed from step {step}: {result.steps_done - int(step)} further steps")
@@ -227,12 +239,26 @@ def _cmd_sweep(args) -> int:
                 % (i, eps, rep.area_excess[i], rep.grad_margin[i], d)
             )
         print(f"epsilon sweep gradient bound uniform: {rep.grad_uniform}")
+        # the budget identity counts neither the -eta Delta^(2K) u drift nor
+        # the Hessian clip, so its closure means nothing once either acts
+        broken = []
+        if mc.form.eta != 0.0:
+            broken.append(f"eta = {mc.form.eta:g}")
+        runs = [p for r in rep.reports for p in r.results]
+        triggered = sum(p.tau_r_triggered for p in runs)
+        if triggered:
+            broken.append(f"tau_R triggered in {triggered} of {len(runs)} path runs")
         print("epsilon sweep area budget / E area(0): eps, sup term, 1/2 dissipation, "
-              "eps share, area change, closure +- SE")
+              "eps share, area change" + ("" if broken else ", closure +- SE"))
         for i, eps in enumerate(rep.eps_values):
+            closure = "" if broken else (
+                f" {rep.closure[i]:+.2e} +- {rep.closure_se[i]:.2e}")
             print(f"  {eps:g} {rep.sup_term[i]:+.4f} {rep.half_dissipation[i]:.4f} "
-                  f"{rep.eps_share[i]:.4f} {rep.area_change[i]:+.4f} "
-                  f"{rep.closure[i]:+.2e} +- {rep.closure_se[i]:.2e}")
+                  f"{rep.eps_share[i]:.4f} {rep.area_change[i]:+.4f}{closure}")
+        if broken:
+            print("note: closure omitted; the area-budget identity holds only at "
+                  "eta = 0 with tau_R untriggered, here " + " and ".join(broken),
+                  file=sys.stderr)
     else:
         if form_kind is not FormKind.REGULARIZED_TRUNCATED:
             raise ConfigError("R sweeps need form = regularized_truncated")

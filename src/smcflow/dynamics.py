@@ -18,7 +18,7 @@ u(t) = c + sqrt(rho) W(t) to rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -30,9 +30,10 @@ from .grid import (
     SymTensorField,
     div_spectral,
     get_workspace,
+    grad_hess_spectral_hat,
     grad_spectral_hat,
+    hess_linf_rows,
     hess_spectral_hat,
-    integrate,
 )
 from .geometry import anisotropic_operator, geometry_bundle, mcf_operator, strat_correction
 from .noise import NoisePath
@@ -42,6 +43,7 @@ __all__ = [
     "ModelForm",
     "NonFiniteFieldError",
     "PathState",
+    "PathBatch",
     "StepAudit",
     "drift",
     "diffusion",
@@ -118,12 +120,20 @@ class ModelForm:
 
 
 class NonFiniteFieldError(RuntimeError):
-    """A step produced NaN/inf; carries where and when it first appeared."""
+    """A step produced NaN/inf; carries where and when it first appeared.
 
-    def __init__(self, step: int, index: tuple[int, int]):
+    ``rows`` maps every failing row of the stepped batch (row 0 for a single
+    path) to the grid index of its first non-finite entry in C order;
+    ``index`` is that of the first failing row.
+    """
+
+    def __init__(self, step: int, rows: dict[int, tuple[int, int]]):
         self.step = step
-        self.index = index
-        super().__init__(f"non-finite field entry at grid index {index} after step {step}")
+        self.rows = rows
+        self.index = next(iter(rows.values()))
+        super().__init__(
+            f"non-finite field entry at grid index {self.index} after step {step}"
+        )
 
 
 def default_dt(n: int) -> float:
@@ -221,11 +231,31 @@ class PathState:
 
 
 @dataclass
+class PathBatch:
+    """P paths at one common step, stepped together; row p is path p.
+
+    ``u`` is (P, n, n) and ``increments`` (P, m) holds each row's Brownian
+    increments on the grid of spacing ``dt``. Rows never interact, so each
+    row evolves bit for bit as it would alone.
+    """
+
+    u: np.ndarray
+    step: int
+    increments: np.ndarray
+    dt: float
+
+    @property
+    def t(self) -> float:
+        return self.step * self.dt
+
+
+@dataclass
 class StepAudit:
     """Per-step bookkeeping emitted by the steppers.
 
     Mass entries are spatial integrals; `drift_mass` excludes the implicit
     linear part, whose integral vanishes identically (zero symbol at k = 0).
+    A batch step fills every entry with one value (or field) per row.
     """
 
     dw: float
@@ -244,11 +274,40 @@ class StepAudit:
     def mass_residual(self) -> float:
         return self.mass_after - (self.mass_before + self.drift_mass + self.noise_mass)
 
+    def row(self, i: int) -> "StepAudit":
+        """Row i of a batch audit, with per-row numbers as floats."""
+        def pick(x):
+            if x is None:
+                return None
+            return float(x[i]) if x.ndim == 1 else x[i]
+
+        return StepAudit(*(pick(getattr(self, f.name)) for f in fields(self)))
+
 
 def _check_finite(values: np.ndarray, step: int):
-    if not np.isfinite(values).all():
-        idx = np.argwhere(~np.isfinite(values))[0]
-        raise NonFiniteFieldError(step, (int(idx[0]), int(idx[1])))
+    """Raise for every row of the (P, n, n) batch holding a NaN/inf entry."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        rows = {}
+        for p in np.flatnonzero(~finite.all(axis=(1, 2))):
+            i, j = np.argwhere(~finite[p])[0]
+            rows[int(p)] = (int(i), int(j))
+        raise NonFiniteFieldError(step, rows)
+
+
+def _as_batch(state: PathState | PathBatch) -> PathBatch:
+    if isinstance(state, PathBatch):
+        return state
+    noise = state.noise
+    return PathBatch(state.u.values[None], state.step, noise.increments[None], noise.dt)
+
+
+def _advanced(state, u_plus: np.ndarray, audit: StepAudit):
+    """The stepped state in the caller's form: a batch, or one path."""
+    if isinstance(state, PathBatch):
+        return PathBatch(u_plus, state.step + 1, state.increments, state.dt), audit
+    new_state = replace(state, u=ScalarField(state.u.grid, u_plus[0]), step=state.step + 1)
+    return new_state, audit.row(0)
 
 
 class EmImexStepper:
@@ -281,47 +340,53 @@ class EmImexStepper:
         c = form.lap_coef
         self.hv_coef = {FormKind.ITO_MCF: 0.5, FormKind.RHO_VARIANT: 1.0 - c}.get(form.kind, 0.0)
 
-    def step(self, state: PathState, want_fields: bool = False) -> tuple[PathState, StepAudit]:
+    def step(self, state, want_fields: bool = False):
+        """Advance one PathState, or every row of a PathBatch, by one step.
+
+        Returns the new state of the same kind and its StepAudit; a batch
+        raises NonFiniteFieldError naming every row that blew up.
+        """
         ws = self.ws
-        u = state.u.values
+        batch = _as_batch(state)
+        u = batch.u
         uh = ws.forward(u)
-        g1, g2 = grad_spectral_hat(uh, ws)
-        hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
         hess_linf = None
         if self.aniso:
-            a11, a12, a22 = hess_spectral_hat(uh, ws)
-            hess_linf = float(
-                max(np.max(np.abs(a11)), np.max(np.abs(a12)), np.max(np.abs(a22)))
-            )
+            g1, g2, a11, a12, a22 = grad_hess_spectral_hat(uh, ws)
+            hess_linf = hess_linf_rows(a11, a12, a22)
             if self.form.kind is FormKind.REGULARIZED_TRUNCATED:
                 a11, a12, a22 = truncate_hessian_arrays(a11, a12, a22, self.form.r_trunc)
+            hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
             w1 = g1 / hval
             w2 = g2 / hval
             n_expl = -0.5 * (w1 * w1 * a11 + 2.0 * w1 * w2 * a12 + w2 * w2 * a22)
         else:
+            g1, g2 = grad_spectral_hat(uh, ws)
+            hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
             w1 = g1 / hval
             w2 = g2 / hval
             v = div_spectral(w1, w2, ws)
             n_expl = self.hv_coef * (hval * v)
 
         g = hval if self.form.rho == 1.0 else self.sqrt_rho * hval
-        dw = 0.0 if self.noise_off else float(state.noise.increments[state.step])
         inv_n2 = 1.0 / (self.grid.n**2)
-        g_mass = float(np.sum(g)) * inv_n2
+        g_mass = np.sum(g, axis=(1, 2)) * inv_n2
         if self.noise_off:
+            dw = np.zeros(len(u))
             rhs = u + self.dt * n_expl
         else:
-            rhs = u + self.dt * n_expl + g * dw
+            dw = batch.increments[:, batch.step]
+            rhs = u + self.dt * n_expl + g * dw[:, None, None]
         rhs_hat = ws.forward(rhs)
         u_plus_hat = rhs_hat / self.denom
         u_plus = ws.inverse(u_plus_hat)
-        _check_finite(u_plus, state.step + 1)
+        _check_finite(u_plus, batch.step + 1)
 
         audit = StepAudit(
             dw=dw,
-            mass_before=float(np.sum(u)) * inv_n2,
-            mass_after=float(np.sum(u_plus)) * inv_n2,
-            drift_mass=self.dt * float(np.sum(n_expl)) * inv_n2,
+            mass_before=np.sum(u, axis=(1, 2)) * inv_n2,
+            mass_after=np.sum(u_plus, axis=(1, 2)) * inv_n2,
+            drift_mass=self.dt * np.sum(n_expl, axis=(1, 2)) * inv_n2,
             noise_mass=g_mass * dw,
             g_mass=g_mass,
             hess_linf=hess_linf,
@@ -331,8 +396,7 @@ class EmImexStepper:
             audit.n_explicit = n_expl
             audit.u_plus = u_plus
             audit.u_plus_hat = u_plus_hat
-        new_state = replace(state, u=ScalarField(self.grid, u_plus), step=state.step + 1)
-        return new_state, audit
+        return _advanced(state, u_plus, audit)
 
 
 class HeunStratStepper:
@@ -359,34 +423,41 @@ class HeunStratStepper:
 
     def _hv_and_g(self, values):
         ws = self.ws
-        uh = ws.forward(values)
-        g1, g2 = grad_spectral_hat(uh, ws)
+        g1, g2 = grad_spectral_hat(ws.forward(values), ws)
         hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
         v = div_spectral(g1 / hval, g2 / hval, ws)
         g = hval if self.form.rho == 1.0 else self.sqrt_rho * hval
         return hval * v, g
 
-    def step(self, state: PathState, want_fields: bool = False) -> tuple[PathState, StepAudit]:
-        u = state.u.values
-        dw = float(state.noise.increments[state.step])
+    def step(self, state, want_fields: bool = False):
+        """Advance one PathState, or every row of a PathBatch, by one step.
+
+        A row failing in the predictor or the corrector is reported by
+        NonFiniteFieldError, as in :meth:`EmImexStepper.step`.
+        """
+        batch = _as_batch(state)
+        u = batch.u
         if self.noise_off:
-            dw = 0.0
+            dw = np.zeros(len(u))
+        else:
+            dw = batch.increments[:, batch.step]
+        dw3 = dw[:, None, None]
         hv0, g0 = self._hv_and_g(u)
-        pred = u + self.dt * hv0 + g0 * dw
-        _check_finite(pred, state.step + 1)
+        pred = u + self.dt * hv0 + g0 * dw3
+        _check_finite(pred, batch.step + 1)
         hv1, g1 = self._hv_and_g(pred)
         drift_avg = 0.5 * (hv0 + hv1)
         g_avg = 0.5 * (g0 + g1)
-        u_plus = u + self.dt * drift_avg + g_avg * dw
-        _check_finite(u_plus, state.step + 1)
+        u_plus = u + self.dt * drift_avg + g_avg * dw3
+        _check_finite(u_plus, batch.step + 1)
 
         inv_n2 = 1.0 / (self.grid.n**2)
-        g_mass = float(np.sum(g_avg)) * inv_n2
+        g_mass = np.sum(g_avg, axis=(1, 2)) * inv_n2
         audit = StepAudit(
             dw=dw,
-            mass_before=float(np.sum(u)) * inv_n2,
-            mass_after=float(np.sum(u_plus)) * inv_n2,
-            drift_mass=self.dt * float(np.sum(drift_avg)) * inv_n2,
+            mass_before=np.sum(u, axis=(1, 2)) * inv_n2,
+            mass_after=np.sum(u_plus, axis=(1, 2)) * inv_n2,
+            drift_mass=self.dt * np.sum(drift_avg, axis=(1, 2)) * inv_n2,
             noise_mass=g_mass * dw,
             g_mass=g_mass,
         )
@@ -394,8 +465,7 @@ class HeunStratStepper:
             audit.g = g_avg
             audit.n_explicit = drift_avg
             audit.u_plus = u_plus
-        new_state = replace(state, u=ScalarField(self.grid, u_plus), step=state.step + 1)
-        return new_state, audit
+        return _advanced(state, u_plus, audit)
 
 
 def step_em_imex(state: PathState, form: ModelForm, noise_off: bool = False) -> PathState:

@@ -13,6 +13,7 @@ consistent; mixing methods between members is structurally impossible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,14 +27,14 @@ from .grid import (
     div_spectral,
     get_workspace,
     grad_central2,
-    grad_spectral_hat,
+    grad_hess_spectral_hat,
     hess_central2,
-    hess_spectral_hat,
     integrate,
 )
 
 __all__ = [
     "GeometryBundle",
+    "GeometryArrays",
     "geometry_bundle",
     "mcf_operator",
     "anisotropic_operator",
@@ -73,56 +74,78 @@ class GeometryBundle:
         return self.dw11 is not None
 
 
-def geometry_bundle(
-    u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL, with_dw: bool = True
-) -> GeometryBundle:
-    """Compute H, w, v and the Hessian of u (plus Dw when requested)."""
-    grid = u.grid
+class GeometryArrays(NamedTuple):
+    """The members of a geometry pass over a (P, n, n) batch, as bare arrays."""
+
+    g1: np.ndarray
+    g2: np.ndarray
+    H: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    v: np.ndarray
+    a11: np.ndarray
+    a12: np.ndarray
+    a22: np.ndarray
+    dw11: np.ndarray | None = None
+    dw12: np.ndarray | None = None
+    dw21: np.ndarray | None = None
+    dw22: np.ndarray | None = None
+
+
+def _geometry_arrays(values: np.ndarray, method: DiffMethod, with_dw: bool) -> GeometryArrays:
+    n = values.shape[-1]
     if method is DiffMethod.SPECTRAL:
-        ws = get_workspace(grid.n)
-        uh = ws.forward(u.values)
-        g1, g2 = grad_spectral_hat(uh, ws)
-        a11, a12, a22 = hess_spectral_hat(uh, ws)
+        ws = get_workspace(n)
+        g1, g2, a11, a12, a22 = grad_hess_spectral_hat(ws.forward(values), ws)
         hvals = np.sqrt(1.0 + g1 * g1 + g2 * g2)
         w1 = g1 / hvals
         w2 = g2 / hvals
-        vvals = div_spectral(w1, w2, ws)
-        bundle = GeometryBundle(
-            grid=grid,
-            method=method,
-            grad=VectorField(grid, g1, g2),
-            H=ScalarField(grid, hvals),
-            w=VectorField(grid, w1, w2),
-            v=ScalarField(grid, vvals),
-            hess=SymTensorField(grid, a11, a12, a22),
-        )
+        w1h, w2h = ws.forward(np.stack([w1, w2]))
+        parts = [ws.ik1 * w1h + ws.ik2 * w2h]
         if with_dw:
-            dw11, dw12 = grad_spectral_hat(ws.forward(w1), ws)
-            dw21, dw22 = grad_spectral_hat(ws.forward(w2), ws)
-            bundle.dw11, bundle.dw12 = dw11, dw12
-            bundle.dw21, bundle.dw22 = dw21, dw22
-        return bundle
+            parts += [ws.ik1 * w1h, ws.ik2 * w1h, ws.ik1 * w2h, ws.ik2 * w2h]
+        vvals, *dw = ws.inverse(np.stack(parts))
+    else:
+        h = 1.0 / n
+        g1, g2 = grad_central2(values, h)
+        a11, a12, a22 = hess_central2(values, h)
+        hvals = np.sqrt(1.0 + g1 * g1 + g2 * g2)
+        w1 = g1 / hvals
+        w2 = g2 / hvals
+        vvals = div_central2(w1, w2, h)
+        dw = [*grad_central2(w1, h), *grad_central2(w2, h)] if with_dw else []
+    return GeometryArrays(g1, g2, hvals, w1, w2, vvals, a11, a12, a22, *dw)
 
-    h = grid.h
-    g1, g2 = grad_central2(u.values, h)
-    a11, a12, a22 = hess_central2(u.values, h)
-    hvals = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-    w1 = g1 / hvals
-    w2 = g2 / hvals
-    vvals = div_central2(w1, w2, h)
-    bundle = GeometryBundle(
+
+def geometry_bundle(
+    u: ScalarField | np.ndarray,
+    method: DiffMethod = DiffMethod.SPECTRAL,
+    with_dw: bool = True,
+):
+    """Compute H, w, v and the Hessian of u (plus Dw when requested).
+
+    ``u`` is one field, giving a :class:`GeometryBundle`, or a (P, n, n)
+    array of P fields on one grid, giving :class:`GeometryArrays` whose rows
+    equal the one-field bundles bit for bit.
+    """
+    if isinstance(u, np.ndarray):
+        return _geometry_arrays(u, method, with_dw)
+    grid = u.grid
+    a = GeometryArrays(*(None if x is None else x[0]
+                         for x in _geometry_arrays(u.values[None], method, with_dw)))
+    return GeometryBundle(
         grid=grid,
         method=method,
-        grad=VectorField(grid, g1, g2),
-        H=ScalarField(grid, hvals),
-        w=VectorField(grid, w1, w2),
-        v=ScalarField(grid, vvals),
-        hess=SymTensorField(grid, a11, a12, a22),
+        grad=VectorField(grid, a.g1, a.g2),
+        H=ScalarField(grid, a.H),
+        w=VectorField(grid, a.w1, a.w2),
+        v=ScalarField(grid, a.v),
+        hess=SymTensorField(grid, a.a11, a.a12, a.a22),
+        dw11=a.dw11,
+        dw12=a.dw12,
+        dw21=a.dw21,
+        dw22=a.dw22,
     )
-    if with_dw:
-        bundle.dw11, bundle.dw12 = grad_central2(w1, h)
-        bundle.dw21, bundle.dw22 = grad_central2(w2, h)
-    return bundle
 
 
 def _need_dw(b: GeometryBundle, who: str):

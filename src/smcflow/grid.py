@@ -155,6 +155,10 @@ class SpectralWorkspace:
         # Laplacian symbol lambda(k) = -4 pi^2 |k|^2, the sum of the two
         # diagonal second-derivative symbols.
         self.lap_sym = self.sym_xx + self.sym_yy
+        # (5, 1, n, n//2 + 1) symbols of d1, d2, d11, d12, d22 for a batch
+        self.grad_hess_syms = np.stack(
+            np.broadcast_arrays(self.ik1, self.ik2, self.sym_xx, self.sym_xy, self.sym_yy)
+        ).astype(complex)[:, None]
         self._poly_cache: dict[int, np.ndarray] = {}
 
     def forward(self, values: np.ndarray) -> np.ndarray:
@@ -190,7 +194,8 @@ def _require_finite(values: np.ndarray, what: str):
 
 
 # ---------------------------------------------------------------------------
-# array kernels (used directly by the steppers; public ops wrap them)
+# array kernels (used directly by the steppers; public ops wrap them). They
+# act on the last two axes, so a leading batch axis rides along.
 
 def grad_spectral(values, ws):
     uh = ws.forward(values)
@@ -198,11 +203,25 @@ def grad_spectral(values, ws):
 
 
 def grad_spectral_hat(uh, ws):
-    return ws.inverse(ws.ik1 * uh), ws.inverse(ws.ik2 * uh)
+    return ws.inverse(np.stack([ws.ik1 * uh, ws.ik2 * uh]))
+
+
+def grad_hess_spectral_hat(uh, ws):
+    """(g1, g2, a11, a12, a22) of a (P, n, n//2 + 1) batch, one inverse call."""
+    return ws.inverse(ws.grad_hess_syms * uh)
+
+
+def hess_linf_rows(a11, a12, a22):
+    """Largest Hessian entry magnitude of each row of a (P, n, n) batch."""
+    def row_max(a):
+        return np.abs(a).max(axis=(1, 2))
+
+    return np.maximum(np.maximum(row_max(a11), row_max(a12)), row_max(a22))
 
 
 def div_spectral(f1, f2, ws):
-    return ws.inverse(ws.ik1 * ws.forward(f1) + ws.ik2 * ws.forward(f2))
+    f1h, f2h = ws.forward(np.stack([f1, f2]))
+    return ws.inverse(ws.ik1 * f1h + ws.ik2 * f2h)
 
 
 def hess_spectral_hat(uh, ws):
@@ -214,29 +233,29 @@ def hess_spectral_hat(uh, ws):
 
 
 def grad_central2(values, h):
-    g1 = (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * h)
-    g2 = (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2.0 * h)
+    g1 = (np.roll(values, -1, axis=-2) - np.roll(values, 1, axis=-2)) / (2.0 * h)
+    g2 = (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * h)
     return g1, g2
 
 
 def div_central2(f1, f2, h):
-    d1 = (np.roll(f1, -1, axis=0) - np.roll(f1, 1, axis=0)) / (2.0 * h)
-    d2 = (np.roll(f2, -1, axis=1) - np.roll(f2, 1, axis=1)) / (2.0 * h)
+    d1 = (np.roll(f1, -1, axis=-2) - np.roll(f1, 1, axis=-2)) / (2.0 * h)
+    d2 = (np.roll(f2, -1, axis=-1) - np.roll(f2, 1, axis=-1)) / (2.0 * h)
     return d1 + d2
 
 
 def hess_central2(values, h):
-    up1 = np.roll(values, -1, axis=0)
-    um1 = np.roll(values, 1, axis=0)
+    up1 = np.roll(values, -1, axis=-2)
+    um1 = np.roll(values, 1, axis=-2)
     a11 = (up1 - 2.0 * values + um1) / (h * h)
     a22 = (
-        np.roll(values, -1, axis=1) - 2.0 * values + np.roll(values, 1, axis=1)
+        np.roll(values, -1, axis=-1) - 2.0 * values + np.roll(values, 1, axis=-1)
     ) / (h * h)
     a12 = (
-        np.roll(up1, -1, axis=1)
-        - np.roll(up1, 1, axis=1)
-        - np.roll(um1, -1, axis=1)
-        + np.roll(um1, 1, axis=1)
+        np.roll(up1, -1, axis=-1)
+        - np.roll(up1, 1, axis=-1)
+        - np.roll(um1, -1, axis=-1)
+        + np.roll(um1, 1, axis=-1)
     ) / (4.0 * h * h)
     return a11, a12, a22
 

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import StepAudit
-from .geometry import gauss_bonnet_residual, geometry_bundle, mcf_operator
-from .grid import DiffMethod, ScalarField, integrate
+from .geometry import geometry_bundle
+from .grid import DiffMethod, ScalarField, hess_linf_rows
 
 __all__ = [
     "EnergyRecord",
@@ -91,32 +91,40 @@ def record(u: ScalarField, t: float, method: DiffMethod = DiffMethod.SPECTRAL) -
 
 
 def record_path_sample(
-    u: ScalarField, t: float, method: DiffMethod = DiffMethod.SPECTRAL
-) -> tuple[EnergyRecord, float, float]:
+    u: ScalarField | np.ndarray, t: float, method: DiffMethod = DiffMethod.SPECTRAL
+):
     """EnergyRecord, the drift-mass rate <H v, 1> and <v, Lap u>, one bundle.
 
     <v, Lap u> is the rate at which an eps Lap u drift term removes area,
     d int H = -eps <v, Lap u> dt + ...; see :class:`AreaInequalityReport`.
+    ``u`` is one field, or a (P, n, n) array of P fields at time t; then the
+    three results hold one entry per row (a list of records and two arrays),
+    each equal to the one-field result bit for bit.
     """
+    if isinstance(u, ScalarField):
+        recs, hv, v_lap = record_path_sample(u.values[None], t, method)
+        return recs[0], float(hv[0]), float(v_lap[0])
     b = geometry_bundle(u, method, with_dw=True)
-    grid = u.grid
-    g1, g2 = b.grad.x1, b.grad.x2
-    hv = mcf_operator(b).values
-    lap = b.hess.a11 + b.hess.a22
-    rec = EnergyRecord(
-        t=t,
-        grad_energy=integrate(ScalarField(grid, g1 * g1 + g2 * g2)),
-        area=integrate(b.H),
-        mc_dissipation=integrate(ScalarField(grid, b.v.values**2 * b.H.values)),
-        laplace_dissipation=integrate(ScalarField(grid, lap * lap)),
-        mass=integrate(u),
-        gauss_bonnet=gauss_bonnet_residual(b),
-        hess_linf=b.hess.linf(),
-        u_min=float(np.min(u.values)),
-        u_max=float(np.max(u.values)),
+    h = 1.0 / u.shape[-1]
+    hh = h * h
+
+    def integral(x):
+        return hh * np.sum(x, axis=(1, 2))
+
+    lap = b.a11 + b.a22
+    columns = (
+        integral(b.g1 * b.g1 + b.g2 * b.g2),
+        integral(b.H),
+        integral(b.v**2 * b.H),
+        integral(lap * lap),
+        integral(u),
+        integral((b.dw11 * b.dw22 - b.dw12 * b.dw21) * b.H),
+        hess_linf_rows(b.a11, b.a12, b.a22),
+        u.min(axis=(1, 2)),
+        u.max(axis=(1, 2)),
     )
-    v_lap = integrate(ScalarField(grid, b.v.values * lap))
-    return rec, integrate(ScalarField(grid, hv)), v_lap
+    recs = [EnergyRecord(t, *row) for row in zip(*(c.tolist() for c in columns))]
+    return recs, integral(b.H * b.v), integral(b.v * lap)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +139,8 @@ class MartingaleSample:
     qhat     sum_j dt <g_j, phi>^2   (quadratic-variation estimate)
     a_int    sum_j dt <g_j, phi>     (cross-variation reference)
     w        W(t)
+
+    A tracker fed batch audits fills the five sums with one value per row.
     """
 
     step: int
@@ -141,6 +151,13 @@ class MartingaleSample:
     a_int: float
     w: float
 
+    def row(self, i: int) -> "MartingaleSample":
+        """Row i of a batch sample."""
+        return MartingaleSample(
+            self.step, self.t, float(self.m[i]), float(self.m_def[i]),
+            float(self.qhat[i]), float(self.a_int[i]), float(self.w[i]),
+        )
+
 
 class MartingaleTracker:
     """Accumulates the martingale identities along one path.
@@ -150,6 +167,9 @@ class MartingaleTracker:
     exactly, so m_def only needs the explicit drift masses. For a general
     smooth phi the tracker needs audits produced with want_fields=True plus
     the stepper (for its implicit operator split) and the initial field.
+
+    With phi omitted it also accepts batch audits; every accumulator then
+    holds one value per row, and :meth:`select` drops rows leaving the batch.
     """
 
     def __init__(
@@ -195,7 +215,8 @@ class MartingaleTracker:
         mass_after = self.h2 * float(np.sum(audit.u_plus * self.phi_vals))
         return gphi, drift_inc, mass_after
 
-    def update(self, audit: StepAudit):
+    def update(self, audit: StepAudit) -> MartingaleSample | None:
+        """Fold in one step; returns the sample taken at this step, if any."""
         if self.phi is None:
             if self.mass0 is None:
                 self.mass0 = audit.mass_before
@@ -204,25 +225,34 @@ class MartingaleTracker:
             mass_after = audit.mass_after
         else:
             gphi, drift_inc, mass_after = self._phi_pieces(audit)
-        self.m += gphi * audit.dw
-        self.drift_int += drift_inc
-        self.qhat += self.dt * gphi * gphi
-        self.a_int += self.dt * gphi
-        self.w += audit.dw
+        # rebinding, not +=, so that batch samples never alias the sums
+        self.m = self.m + gphi * audit.dw
+        self.drift_int = self.drift_int + drift_inc
+        self.qhat = self.qhat + self.dt * gphi * gphi
+        self.a_int = self.a_int + self.dt * gphi
+        self.w = self.w + audit.dw
         self.step += 1
-        if self.step in self.sample_steps:
-            m_def = (mass_after - self.mass0) - self.drift_int
-            self.samples.append(
-                MartingaleSample(
-                    step=self.step,
-                    t=self.step * self.dt,
-                    m=self.m,
-                    m_def=m_def,
-                    qhat=self.qhat,
-                    a_int=self.a_int,
-                    w=self.w,
-                )
-            )
+        if self.step not in self.sample_steps:
+            return None
+        m_def = (mass_after - self.mass0) - self.drift_int
+        sample = MartingaleSample(
+            step=self.step,
+            t=self.step * self.dt,
+            m=self.m,
+            m_def=m_def,
+            qhat=self.qhat,
+            a_int=self.a_int,
+            w=self.w,
+        )
+        self.samples.append(sample)
+        return sample
+
+    def select(self, rows: np.ndarray):
+        """Keep the per-row accumulators of the given batch rows only."""
+        for name in ("m", "drift_int", "qhat", "a_int", "w", "mass0"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                setattr(self, name, value[rows])
 
 
 @dataclass

@@ -55,7 +55,9 @@ class TestRunCommand:
         )
         code = main(["run", cfg, "--output-dir", str(tmp_path / "boom")])
         assert code == EXIT_RUNTIME
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "step 1, grid index (0, 0)" in err
 
 
 class TestResume:
@@ -125,6 +127,24 @@ class TestResume:
         assert "does not match config" in capsys.readouterr().err
 
 
+    def test_changed_dt_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(
+            ["run", cfg, "--output-dir", str(out), "--stop-after-steps", "9"]
+        ) == EXIT_OK
+        cfg_dt = write_cfg(
+            tmp_path, BASE_CFG.replace("dt = 0.001", "dt = 0.002"), name="dt2.cfg"
+        )
+        code = main(
+            ["resume", cfg_dt, "--checkpoint", str(out / "checkpoint.snap"),
+             "--output-dir", str(out)]
+        )
+        assert code == EXIT_VALIDATION
+        assert "was dt changed" in capsys.readouterr().err
+        assert not (out / "final.snap").exists()
+
+
 class TestEnsembleCommand:
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
@@ -166,6 +186,39 @@ class TestSweepCommand:
         printed = capsys.readouterr().out
         assert "area budget" in printed
         assert "  0.4 " in printed and "  0.2 " in printed
+
+    @pytest.mark.parametrize(
+        "form, why",
+        [
+            ("form = regularized\neta = 0.001", "eta = 0.001"),
+            ("form = regularized_truncated\nR = 10.0", "tau_R triggered in 40 of 40 path runs"),
+        ],
+    )
+    def test_epsilon_sweep_omits_closure_where_identity_fails(
+        self, tmp_path, capsys, form, why
+    ):
+        text = (
+            f"{form}\neps = 0.4\nbigK = 3\nn = 16\ndt = 0.0002\nT = 0.06\n"
+            "n_paths = 20\nbase_seed = 31\nrecord_stride = 10\n"
+            "initial_condition = modes:[(1,0,0.2,0.0),(0,1,0.1,0.5)]\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", cfg, "--axis", "epsilon", "--values", "0.4,0.2",
+             "--output-dir", str(out)]
+        )
+        assert code == EXIT_OK
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "index,eps,area_excess,grad_margin,mean_diff_from_prev"
+        assert len(lines) == 3
+        captured = capsys.readouterr()
+        assert "area budget" in captured.out
+        assert "closure" not in captured.out and "+-" not in captured.out
+        note = captured.err.strip()
+        assert note.startswith("note: closure omitted")
+        assert note.endswith(why)
+        assert len(note.splitlines()) == 1
 
     def test_axis_needs_matching_form(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)    # ito_mcf

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from smcflow.dynamics import FormKind, ModelForm
+from smcflow.dynamics import FormKind, ModelForm, NonFiniteFieldError, PathState
+from smcflow import harness
 from smcflow.grid import GridSpec, ScalarField
 from smcflow.harness import (
     ModelConfig,
@@ -17,7 +18,6 @@ from smcflow.harness import (
     sweep_R,
     sweep_epsilon,
     sweep_eta,
-    worker_count,
 )
 from smcflow.noise import NoisePath, path_seed
 
@@ -36,6 +36,22 @@ def ito_config(**kw):
     )
     base.update(kw)
     return ModelConfig(**base)
+
+
+def assert_same_path(batched, alone):
+    """Bitwise equality of everything a path run reports."""
+    assert batched.seed == alone.seed
+    assert batched.terminal.values.tobytes() == alone.terminal.values.tobytes()
+    assert (np.array([r.as_row() for r in batched.records]).tobytes()
+            == np.array([r.as_row() for r in alone.records]).tobytes())
+    assert batched.record_steps == alone.record_steps
+    for name in ("hv_mass", "v_lap", "w_rec"):
+        assert getattr(batched, name).tobytes() == getattr(alone, name).tobytes(), name
+    assert batched.martingale_samples == alone.martingale_samples
+    assert batched.max_mass_residual == alone.max_mass_residual
+    for name in ("steps_done", "censored", "blowup_step", "blowup_index",
+                 "tau_r_triggered", "tau_r_time"):
+        assert getattr(batched, name) == getattr(alone, name), name
 
 
 class TestModelConfig:
@@ -138,8 +154,13 @@ class TestRunPath:
         res = run_path(cfg, huge, seed=0)
         assert res.censored
         assert res.blowup_step == 1
+        assert res.blowup_index == (0, 0)
         assert res.steps_done == 0
         assert len(res.records) == 1    # the initial sample is still taken
+        noise = NoisePath.generate(0, cfg.dt, cfg.n_steps)
+        with pytest.raises(NonFiniteFieldError) as err:
+            make_stepper(cfg).step(PathState(huge, 0, noise))
+        assert res.blowup_index == err.value.index
 
     def test_tau_r_stop_at_time_zero(self):
         grid = GridSpec(16)
@@ -171,21 +192,6 @@ class TestRunPath:
         res = run_path(cfg, smooth_u0(cfg.grid), seed=5)
         assert len(res.audits) == 20
         assert [s.step for s in res.martingale_samples] == [10, 20]
-
-
-class TestWorkerCount:
-    def test_default_and_parse(self, monkeypatch):
-        monkeypatch.delenv("SMCFLOW_WORKERS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("SMCFLOW_WORKERS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("SMCFLOW_WORKERS", "0")
-        assert worker_count() == 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("SMCFLOW_WORKERS", "many")
-        with pytest.raises(ValueError, match="SMCFLOW_WORKERS"):
-            worker_count()
 
 
 class TestRunEnsemble:
@@ -230,6 +236,11 @@ class TestRunEnsemble:
         mat = rep.records_matrix("mass")
         assert mat.shape == (7, 2)     # records at steps 0 and 5
         assert rep.total_steps == 7 * 5
+        assert rep.results[2].blowup_step == 1
+        assert rep.results[2].blowup_index == (0, 0)
+        for i, res in enumerate(rep.results):
+            if i != 2:
+                assert_same_path(res, run_path(cfg, u0(i), seed=path_seed(0, i)))
 
     def test_martingale_report_wired(self):
         cfg = ito_config(n_steps=20, martingale_steps=(10, 20))
@@ -243,6 +254,87 @@ class TestRunEnsemble:
         cfg = ito_config()
         with pytest.raises(ValueError, match="n_paths"):
             run_ensemble(cfg, ScalarField.constant(cfg.grid, 0.0), 0, base_seed=0)
+
+
+class TestBatchParity:
+    """Every row of a batched ensemble equals its one-path run bit for bit."""
+
+    N_PATHS = 6
+    SEED = 404
+
+    @staticmethod
+    def u0(i):
+        grid = GridSpec(16)
+        x1, x2 = grid.nodes()
+        a = 0.1 + 0.05 * i
+        return ScalarField(grid, a * np.sin(TWO_PI * x1) + 0.2 * np.cos(TWO_PI * x2))
+
+    def check(self, cfg):
+        rep = run_ensemble(cfg, self.u0, self.N_PATHS, self.SEED)
+        for i, res in enumerate(rep.results):
+            assert_same_path(res, run_path(cfg, self.u0(i), seed=path_seed(self.SEED, i)))
+        return rep
+
+    def test_ito_mcf(self):
+        rep = self.check(ito_config(n_steps=30, record_stride=7, martingale_steps=(10, 30)))
+        assert all(len(r.martingale_samples) == 2 for r in rep.results)
+
+    def test_ensemble_split_over_batches(self, monkeypatch):
+        monkeypatch.setattr(harness, "BATCH_CELLS", 4 * 16 * 16)  # batches of 4 and 2
+        self.check(ito_config(n_steps=30, record_stride=7, martingale_steps=(10, 30)))
+
+    def test_regularized_with_eta(self):
+        self.check(ito_config(
+            form=ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-3, big_k=1),
+            dt=1e-4, n_steps=30, record_stride=7, martingale_steps=(10, 30),
+        ))
+
+    def test_stratonovich_heun(self):
+        self.check(ModelConfig(
+            form=ModelForm(FormKind.STRATONOVICH_MCF), scheme="heun_strat",
+            n=16, dt=1e-4, n_steps=30, record_stride=7, martingale_steps=(10, 30),
+        ))
+
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_truncated_with_triggers(self, stop):
+        # R/2 = 12.5: row 5 starts above it; row 4 (hess sup ~11.8) reaches
+        # it only after steps with the big increments of dt = 2e-3
+        cfg = ito_config(
+            form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=25.0),
+            dt=2e-3, n_steps=30, record_stride=7, stop_at_tau_r=stop,
+        )
+        rep = self.check(cfg)
+        times = [r.tau_r_time for r in rep.results]
+        assert times[5] == 0.0
+        assert any(t is not None and t > 0.0 for t in times)
+        assert any(t is None for t in times)
+        if stop:
+            assert rep.results[5].steps_done == 0
+            assert any(r.steps_done == cfg.n_steps for r in rep.results)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_heun_blowups_leave_other_rows_unchanged(self):
+        cfg = ModelConfig(
+            form=ModelForm(FormKind.STRATONOVICH_MCF), scheme="heun_strat",
+            n=16, dt=1e-3, n_steps=5, record_stride=5, martingale_steps=(2, 5),
+        )
+        x1, _ = cfg.grid.nodes()
+
+        def u0(i):
+            # in step 1 row 1 overflows in the predictor and row 3 only in
+            # the corrector; row 2 overflows in step 3, after its martingale
+            # sample at step 2
+            amp = {1: 1e160, 2: 1.8e153, 3: 2.04e153}.get(i)
+            if amp is None:
+                return smooth_u0(cfg.grid)
+            return ScalarField(cfg.grid, amp * np.sin(TWO_PI * x1))
+
+        rep = run_ensemble(cfg, u0, 5, base_seed=0)
+        assert [r.blowup_step for r in rep.results] == [None, 1, 3, 1, None]
+        assert rep.results[1].blowup_index != rep.results[3].blowup_index
+        assert len(rep.results[2].martingale_samples) == 1
+        for i, res in enumerate(rep.results):
+            assert_same_path(res, run_path(cfg, u0(i), seed=path_seed(0, i)))
 
 
 class TestSweepPlan:
