@@ -62,7 +62,6 @@ class RunConfig:
     bigK: int = 3
     R: float = 1e6
     rho: float = 1.0
-    theta: float = 0.5
     scheme: str = ""         # "" means "derive from form"
     n_paths: int = 1
     base_seed: int = 0
@@ -122,8 +121,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"R must be positive, got {cfg.R}")
     if not 0.0 < cfg.rho < 2.0:
         raise ConfigError(f"rho must lie in (0,2), got {cfg.rho}")
-    if cfg.theta < 0.0:
-        raise ConfigError(f"theta must be nonnegative, got {cfg.theta}")
     if cfg.n_paths < 1:
         raise ConfigError(f"n_paths must be at least 1, got {cfg.n_paths}")
     if cfg.base_seed < 0:
@@ -156,7 +153,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         if key in ("n", "bigK", "n_paths", "base_seed", "record_stride"):
             values[key] = _parse_int(key, raw)
-        elif key in ("dt", "T", "eps", "eta", "R", "rho", "theta"):
+        elif key in ("dt", "T", "eps", "eta", "R", "rho"):
             values[key] = _parse_float(key, raw)
         else:
             values[key] = raw

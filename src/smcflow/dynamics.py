@@ -33,7 +33,6 @@ from .grid import (
     grad_hess_spectral_hat,
     grad_spectral_hat,
     hess_linf_rows,
-    hess_spectral_hat,
 )
 from .geometry import anisotropic_operator, geometry_bundle, mcf_operator, strat_correction
 from .noise import NoisePath
@@ -159,8 +158,19 @@ def _theta_times_a(a: np.ndarray, r: float) -> np.ndarray:
 
 
 def truncate_hessian_arrays(a11, a12, a22, r: float):
+    """Apply theta_R entrywise to the three Hessian components.
+
+    When no entry of any component exceeds R/2 the cutoff is the identity,
+    and the inputs themselves are returned. A batch is clipped as a whole
+    once any row is active; rows within R/2 pass the clip unchanged, so each
+    row still equals its one-path result. A NaN entry makes its component's
+    maximum NaN, which fails the comparison and takes the full clip.
+    """
     if not r > 0.0:
         raise ValueError("truncation radius must be positive")
+    half = 0.5 * r
+    if all(np.abs(a).max(initial=0.0) <= half for a in (a11, a12, a22)):
+        return a11, a12, a22
     return _theta_times_a(a11, r), _theta_times_a(a12, r), _theta_times_a(a22, r)
 
 
@@ -492,6 +502,12 @@ def monitor_tau_r(state: PathState, hess_linf: float, r: float) -> PathState:
 # ---------------------------------------------------------------------------
 # mild-solution fixed point
 
+# The mild map evaluates its time levels in blocks of at most
+# PICARD_BLOCK_CELLS // n^2 states per batched transform (64 KiB per real
+# (rows, n, n) field), which keeps its temporaries a few MB at any horizon.
+PICARD_BLOCK_CELLS = 1 << 13
+
+
 @dataclass
 class PicardReport:
     diffs: list[float]
@@ -533,48 +549,53 @@ def mild_picard_iterate(
         raise ValueError("noise path too short for the requested horizon")
 
     lin_sym = ws.linear_sym(form.eps, form.eta, form.big_k)
-    # semigroup factors for lags 0..m (lag 0 is the identity)
-    semi = [np.ones_like(lin_sym)]
+    # semigroup factors S(j dt) for lags 0..m (lag 0 is the identity)
+    semi = np.empty((m + 1,) + lin_sym.shape)
+    semi[0] = 1.0
     step_factor = np.exp(dt * lin_sym)
-    for _ in range(m):
-        semi.append(semi[-1] * step_factor)
+    for j in range(1, m + 1):
+        np.multiply(semi[j - 1], step_factor, out=semi[j])
 
     u0_hat = ws.forward(u0.values)
     inv_n = 1.0 / grid.n
     h2 = inv_n * inv_n
+    rows = max(1, PICARD_BLOCK_CELLS // (grid.n * grid.n))
+    dw = noise.increments[:m, None, None]
+    # c_s for every source time s < m, and the terms one source adds
+    c = np.empty((m,) + u0_hat.shape, dtype=complex)
+    term = np.empty_like(c)
 
-    def evaluate(traj_hats):
-        """Apply the mild map to a trajectory of Fourier states."""
-        f_hats = []
-        g_hats = []
-        for uh in traj_hats:
-            g1, g2 = grad_spectral_hat(uh, ws)
-            hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-            a11, a12, a22 = hess_spectral_hat(uh, ws)
+    def evaluate(traj):
+        """Apply the mild map to a (m + 1, n, n//2 + 1) trajectory of Fourier states."""
+        for lo in range(0, m, rows):
+            blk = slice(lo, min(m, lo + rows))
+            g1, g2, a11, a12, a22 = grad_hess_spectral_hat(traj[blk], ws)
             a11, a12, a22 = truncate_hessian_arrays(a11, a12, a22, form.r_trunc)
+            hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
             w1 = g1 / hval
             w2 = g2 / hval
             f = w1 * w1 * a11 + 2.0 * w1 * w2 * a12 + w2 * w2 * a22
-            f_hats.append(ws.forward(f))
-            g_hats.append(ws.forward(hval))
-        out = [u0_hat.copy()]
-        for j in range(1, m + 1):
-            acc = semi[j] * u0_hat
-            for s in range(j):
-                acc = acc + semi[j - s] * (
-                    -0.5 * dt * f_hats[s] + noise.increments[s] * g_hats[s]
-                )
-            out.append(acc)
+            f_hat, g_hat = ws.forward(np.stack([f, hval]))
+            c[blk] = (-0.5 * dt) * f_hat + dw[blk] * g_hat
+        # level j sums S(j dt) u0, then S((j - s) dt) c_s for s = 0, 1, ..., j - 1
+        out = np.empty_like(traj)
+        out[0] = u0_hat
+        np.multiply(semi[1:], u0_hat, out=out[1:])
+        for s in range(m):
+            np.multiply(semi[1 : m - s + 1], c[s], out=term[: m - s])
+            out[s + 1 :] += term[: m - s]
         return out
 
-    traj = [semi[j] * u0_hat for j in range(m + 1)]  # S(t) u0 as starting guess
+    traj = semi * u0_hat  # S(t) u0 as starting guess
     diffs: list[float] = []
     for _ in range(iterations):
         nxt = evaluate(traj)
         sup = 0.0
-        for a, b in zip(nxt, traj):
-            d = ws.inverse(a - b)
-            sup = max(sup, float(np.sqrt(h2 * np.sum(d * d))))
+        for lo in range(0, m + 1, rows):
+            d = ws.inverse(nxt[lo : lo + rows] - traj[lo : lo + rows])
+            # running max in level order; max() passes over a NaN distance
+            for dj in np.sqrt(h2 * np.sum(d * d, axis=(1, 2))):
+                sup = max(sup, float(dj))
         diffs.append(sup)
         traj = nxt
     ratios = [diffs[i + 1] / diffs[i] if diffs[i] > 0.0 else 0.0 for i in range(len(diffs) - 1)]
@@ -585,5 +606,9 @@ def mild_picard_iterate(
         if run >= 3:
             diverged = True
             break
-    trajectory = [ScalarField(grid, ws.inverse(uh)) for uh in traj]
+    trajectory = [
+        ScalarField(grid, values)
+        for lo in range(0, m + 1, rows)
+        for values in ws.inverse(traj[lo : lo + rows])
+    ]
     return PicardReport(diffs=diffs, ratios=ratios, diverged=diverged, trajectory=trajectory)

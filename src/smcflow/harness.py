@@ -10,9 +10,10 @@ all reductions run in path-index order.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "ConvergenceReport",
     "make_stepper",
     "run_path",
+    "run_paths",
     "run_ensemble",
     "sweep_eta",
     "sweep_epsilon",
@@ -97,6 +99,11 @@ class ModelConfig:
             raise ValueError("dt must be positive")
         if any(s < 1 or s > self.n_steps for s in self.martingale_steps):
             raise ValueError("martingale sample steps must lie in [1, n_steps]")
+        if self.stop_at_tau_r and self.martingale_steps:
+            raise ValueError(
+                "stop_at_tau_r cannot be combined with martingale_steps: a path "
+                "stopped at tau_R misses its later martingale samples"
+            )
 
     @property
     def grid(self) -> GridSpec:
@@ -114,7 +121,7 @@ def make_stepper(cfg: ModelConfig):
 
 @dataclass
 class PathResult:
-    seed: int | None
+    seed: int                      # seed of the driving noise path
     records: list[EnergyRecord]
     record_steps: list[int]
     hv_mass: np.ndarray            # <H v, 1> at the record times
@@ -155,20 +162,53 @@ def run_path(
             raise ValueError("need a seed or an explicit noise path")
         noise = NoisePath.generate(seed, cfg.dt, cfg.n_steps)
     else:
-        if abs(noise.dt - cfg.dt) > 1e-15 * max(cfg.dt, 1.0):
-            raise ValueError("noise path dt does not match the config dt")
-        if noise.n_steps < cfg.n_steps:
-            raise ValueError("noise path shorter than the run")
+        _check_noise(cfg, noise)
     if stepper is None:
         stepper = make_stepper(cfg)
     if not 0 <= start_step <= cfg.n_steps:
         raise ValueError("start_step outside [0, n_steps]")
     end_step = cfg.n_steps if stop_at_step is None else min(cfg.n_steps, stop_at_step)
     (result,) = _run_batch(
-        cfg, stepper, u0.values[None], [noise], [seed],
+        cfg, stepper, u0.values[None], [noise],
         start_step, end_step, checkpoint_every, checkpoint_cb,
     )
     return result
+
+
+def _check_noise(cfg: ModelConfig, noise: NoisePath):
+    if abs(noise.dt - cfg.dt) > 1e-15 * max(cfg.dt, 1.0):
+        raise ValueError("noise path dt does not match the config dt")
+    if noise.n_steps < cfg.n_steps:
+        raise ValueError("noise path shorter than the run")
+
+
+def run_paths(
+    cfg: ModelConfig,
+    u0: ScalarField | Callable[[int], ScalarField],
+    noises: Iterable[NoisePath],
+    stepper=None,
+) -> list[PathResult]:
+    """Run one path per noise path; path i starts from u0, or from u0(i).
+
+    The paths advance in batches of at most BATCH_CELLS // n^2 rows, and
+    each result equals run_path(cfg, u0, noise=noise) bit for bit. noises is
+    consumed one batch at a time, so a generator holds only one batch of
+    noise paths in memory.
+    """
+    if stepper is None:
+        stepper = make_stepper(cfg)
+    rows = max(1, BATCH_CELLS // (cfg.n * cfg.n))
+    pending = iter(noises)
+    results: list[PathResult] = []
+    while chunk := list(itertools.islice(pending, rows)):
+        for nz in chunk:
+            _check_noise(cfg, nz)
+        first = len(results)
+        u = np.stack([
+            (u0(first + k) if callable(u0) else u0).values for k in range(len(chunk))
+        ])
+        results += _run_batch(cfg, stepper, u, chunk)
+    return results
 
 
 @dataclass
@@ -209,7 +249,6 @@ def _run_batch(
     stepper,
     u0: np.ndarray,
     noises: Sequence[NoisePath],
-    seeds: Sequence[int | None],
     start_step: int = 0,
     end_step: int | None = None,
     checkpoint_every: int | None = None,
@@ -225,15 +264,16 @@ def _run_batch(
     end_step = cfg.n_steps if end_step is None else end_step
     trunc = cfg.form.kind is FormKind.REGULARIZED_TRUNCATED
     r_half = 0.5 * cfg.form.r_trunc
-    logs = [_PathLog(seed, [] if cfg.keep_audits else None) for seed in seeds]
-    results: list[PathResult | None] = [None] * len(seeds)
-    paths = np.arange(len(seeds))  # path index of each batch row
-    tau_hit = np.zeros(len(seeds), dtype=bool)
-    max_res = np.zeros(len(seeds))
+    logs = [_PathLog(nz.seed, [] if cfg.keep_audits else None) for nz in noises]
+    results: list[PathResult | None] = [None] * len(noises)
+    paths = np.arange(len(noises))  # path index of each batch row
+    tau_hit = np.zeros(len(noises), dtype=bool)
+    max_res = np.zeros(len(noises))
     tracker = (
         MartingaleTracker(cfg.dt, cfg.martingale_steps) if cfg.martingale_steps else None
     )
-    batch = PathBatch(u0, start_step, np.stack([nz.increments for nz in noises]), noises[0].dt)
+    increments = np.stack([nz.increments[: cfg.n_steps] for nz in noises])
+    batch = PathBatch(u0, start_step, increments, noises[0].dt)
 
     def take_record():
         recs, hv, vl = record_path_sample(batch.u, batch.t, cfg.method)
@@ -357,26 +397,21 @@ def run_ensemble(
 ) -> EnsembleReport:
     """Monte Carlo ensemble with per-path derived seeds and ordered reduction.
 
-    The paths advance together in batches of at most BATCH_CELLS // n^2
-    rows; each path's result equals its one-path run_path bit for bit.
+    The paths advance together through run_paths; each path's result
+    equals its one-path run_path bit for bit.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     t0 = time.perf_counter()
-    stepper = make_stepper(cfg)
-    seeds = [path_seed(base_seed, i) for i in range(n_paths)]
-    rows = max(1, BATCH_CELLS // (cfg.n * cfg.n))
-    results: list[PathResult] = []
-    for lo in range(0, n_paths, rows):
-        chunk = range(lo, min(n_paths, lo + rows))
-        u = np.stack([(u0(i) if callable(u0) else u0).values for i in chunk])
-        noises = []
-        for i in chunk:
+
+    def noises():
+        for i in range(n_paths):
             # keep the increments only: an ensemble never refines, and the
             # stored finer levels take 2^REFINE_DEPTH times their memory
-            nz = NoisePath.generate(seeds[i], cfg.dt, cfg.n_steps)
-            noises.append(NoisePath(nz.seed, nz.dt, nz.level, nz.increments))
-        results += _run_batch(cfg, stepper, u, noises, [seeds[i] for i in chunk])
+            nz = NoisePath.generate(path_seed(base_seed, i), cfg.dt, cfg.n_steps)
+            yield NoisePath(nz.seed, nz.dt, nz.level, nz.increments)
+
+    results = run_paths(cfg, u0, noises())
 
     n_censored = sum(1 for r in results if r.censored)
     mart = None

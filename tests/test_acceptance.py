@@ -32,9 +32,9 @@ from smcflow.grid import DiffMethod, GridSpec, ScalarField
 from smcflow.harness import (
     ModelConfig,
     SweepPlan,
-    make_stepper,
     run_ensemble,
     run_path,
+    run_paths,
     sweep_epsilon,
     sweep_eta,
 )
@@ -353,11 +353,8 @@ def test_criterion_10_ito_stratonovich_consistency():
             form=ModelForm(FormKind.STRATONOVICH_MCF), scheme="heun_strat",
             n=16, dt=dt, n_steps=n_steps, record_stride=n_steps,
         )
-        st_i, st_s = make_stepper(cfg_i), make_stepper(cfg_s)
         out = {k: [] for k in ("mi", "gi", "ms", "gs")}
-        for nz in noises:
-            ri = run_path(cfg_i, u0, noise=nz, stepper=st_i)
-            rs = run_path(cfg_s, u0, noise=nz, stepper=st_s)
+        for ri, rs in zip(run_paths(cfg_i, u0, noises), run_paths(cfg_s, u0, noises)):
             out["mi"].append(ri.records[-1].mass)
             out["gi"].append(ri.records[-1].grad_energy)
             out["ms"].append(rs.records[-1].mass)

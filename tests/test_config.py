@@ -100,7 +100,7 @@ class TestValidation:
             ("bigK = 2", r"2K > 4 \(so bigK >= 3\)"),
             ("R = 0.0", "R must be positive"),
             ("rho = 2.0", r"rho must lie in \(0,2\)"),
-            ("theta = -1.0", "theta must be nonnegative"),
+            ("theta = -1.0", "unknown config key 'theta'"),
             ("n_paths = 0", "n_paths must be at least 1"),
             ("base_seed = -1", "base_seed must be nonnegative"),
             ("record_stride = 0", "record_stride must be at least 1"),

@@ -1,4 +1,5 @@
 """Tests for model forms, drift/diffusion assembly, truncation, and steppers."""
+import hashlib
 import math
 
 import numpy as np
@@ -204,6 +205,56 @@ class TestTruncation:
     def test_radius_validation(self):
         with pytest.raises(ValueError, match="positive"):
             truncate_hessian_arrays(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), 0.0)
+
+    @staticmethod
+    def full_clip(a, r):
+        """The cutoff applied entrywise, with no short-circuit."""
+        aa = np.abs(a)
+        x = np.clip(2.0 * aa / r - 1.0, 0.0, 1.0)
+        s = ((6.0 * x - 15.0) * x + 10.0) * x * x * x
+        return np.where(aa <= 0.5 * r, a, np.where(aa >= r, 0.0, (1.0 - s) * a))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)])
+    def test_entry_at_half_radius_passes_through(self, shape):
+        r = 8.0
+        rng = np.random.default_rng(1)
+        comps = [rng.uniform(-4.0, 4.0, shape) for _ in range(3)]
+        comps[1].flat[5] = -4.0
+        comps[2].flat[-1] = 4.0
+        out = truncate_hessian_arrays(*comps, r)
+        for a, b in zip(comps, out):
+            assert b is a
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_entry_above_half_radius_or_nan_takes_full_clip(self, shape, which):
+        r = 8.0
+        rng = np.random.default_rng(2)
+        for bad in (np.nextafter(4.0, 5.0), -6.0, np.nan):
+            comps = [rng.uniform(-4.0, 4.0, shape) for _ in range(3)]
+            comps[which].flat[7] = bad
+            out = truncate_hessian_arrays(*comps, r)
+            assert out[which] is not comps[which]
+            for a, b in zip(comps, out):
+                np.testing.assert_array_equal(b, self.full_clip(a, r))
+            if np.isnan(bad):
+                assert np.isnan(out[which].flat[7])
+
+    def test_one_active_row_clips_the_batch_rowwise(self):
+        r = 8.0
+        rng = np.random.default_rng(3)
+        comps = [rng.uniform(-6.0, 6.0, (4, 8, 8)) for _ in range(3)]
+        for a in comps:
+            a[[0, 2, 3]] *= 4.0 / 6.0          # rows 0, 2, 3 stay within R/2
+        comps[0][1, 3, 3] = 7.5                # row 1 is active
+        out = truncate_hessian_arrays(*comps, r)
+        for a, b in zip(comps, out):
+            for p in range(4):
+                np.testing.assert_array_equal(b[p], self.full_clip(a[p], r))
+                single = truncate_hessian_arrays(a[p], a[p], a[p], r)[0]
+                assert b[p].tobytes() == single.tobytes()
+            for p in (0, 2, 3):
+                assert b[p].tobytes() == a[p].tobytes()
 
 
 class TestStepperConstruction:
@@ -456,6 +507,48 @@ class TestPicard:
         form = ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, eta=0.0, big_k=3, r_trunc=1e6)
         rep = mild_picard_iterate(smooth_u0(grid), noise, form, 5e-3, 6)
         assert all(r < 1.0 for r in rep.ratios)
+        assert not rep.diverged
+
+    # float.hex of diffs and ratios and the sha256 of the trajectory bytes,
+    # recorded from the level-by-level evaluation of the mild map. r_trunc =
+    # 1e6 never clips; at 30 the clip acts on some levels of every iteration
+    # after the first, so time blocks mixing clipped and unclipped levels
+    # occur at both grid sizes.
+    GOLDEN = {
+        (32, 1e6): (
+            ["0x1.b323169c8b219p-3", "0x1.1ab5f3a8170e0p-7", "0x1.f07a2c01c6b6cp-10",
+             "0x1.6f4989e4b089ep-11", "0x1.d92cebf92bde9p-13", "0x1.82caef50ec6e9p-14"],
+            ["0x1.4ca62406ce021p-5", "0x1.c191d46eb8d36p-3", "0x1.7ac552e8f10cap-2",
+             "0x1.49cde7507f2b4p-2", "0x1.a28789c4ac21cp-2"],
+            "7dc3c693069393faf99eec8a484b2adc25e86e79f70b4e5df1dc2de5eedc769f",
+        ),
+        (32, 30.0): (
+            ["0x1.b323169c8b219p-3", "0x1.1ab8786272351p-7", "0x1.efdb19d4ae3d5p-10",
+             "0x1.6edeb890cf144p-11", "0x1.d877bf26a4b54p-13", "0x1.803f4e11d6355p-14"],
+            ["0x1.4ca91aa3c7708p-5", "0x1.c0fdc9c98d01fp-3", "0x1.7ad089d4e208ap-2",
+             "0x1.49af81956d859p-2", "0x1.a065e0781ddf5p-2"],
+            "036d4ba58fbae3e0ed42fd5493996925b75e4dffa11d73e23a09d94c598e6a2c",
+        ),
+        (16, 30.0): (
+            ["0x1.b322fe4883d51p-3", "0x1.1ab8a8d6a356dp-7", "0x1.ef7ca220169c3p-10",
+             "0x1.7078136bab80dp-11", "0x1.db76aacd86e4ep-13", "0x1.84bb52c3fa8eep-14"],
+            ["0x1.4ca966406059dp-5", "0x1.c0a7f2d91bb8fp-3", "0x1.7cbfc25e2ffccp-2",
+             "0x1.4a5611ab138e9p-2", "0x1.a29a7721176fdp-2"],
+            "c9ab748439f423de4f21fec701c1a1d9863e3211dd1947738f39c3a54df5e881",
+        ),
+    }
+
+    @pytest.mark.parametrize("n, r_trunc", sorted(GOLDEN))
+    def test_golden_values(self, n, r_trunc):
+        grid = GridSpec(n)
+        noise = NoisePath.generate(2024, 1e-4, 50)
+        form = ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, big_k=3, r_trunc=r_trunc)
+        rep = mild_picard_iterate(smooth_u0(grid), noise, form, 5e-3, 6)
+        diffs, ratios, sha = self.GOLDEN[(n, r_trunc)]
+        assert [d.hex() for d in rep.diffs] == diffs
+        assert [x.hex() for x in rep.ratios] == ratios
+        traj = b"".join(f.values.tobytes() for f in rep.trajectory)
+        assert hashlib.sha256(traj).hexdigest() == sha
         assert not rep.diverged
 
     def test_argument_validation(self):

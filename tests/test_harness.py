@@ -13,6 +13,7 @@ from smcflow.harness import (
     make_stepper,
     run_ensemble,
     run_path,
+    run_paths,
     self_convergence_dt,
     self_convergence_resolution,
     sweep_R,
@@ -78,6 +79,18 @@ class TestModelConfig:
             ito_config(martingale_steps=(0,))
         with pytest.raises(ValueError, match="martingale sample steps"):
             ito_config(martingale_steps=(21,))
+
+    def test_stop_at_tau_r_with_martingale_steps_rejected(self):
+        # an ensemble of this config used to fail inside martingale_test once
+        # a path stopped at tau_R before its last sample step
+        kw = dict(
+            form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=25.0),
+            dt=2e-3, n_steps=30, record_stride=7,
+        )
+        with pytest.raises(ValueError, match="stop_at_tau_r.*martingale_steps"):
+            ito_config(stop_at_tau_r=True, martingale_steps=(10, 30), **kw)
+        ito_config(stop_at_tau_r=True, **kw)
+        ito_config(martingale_steps=(10, 30), **kw)
 
     def test_derived_properties(self):
         cfg = ito_config()
@@ -335,6 +348,53 @@ class TestBatchParity:
         assert len(rep.results[2].martingale_samples) == 1
         for i, res in enumerate(rep.results):
             assert_same_path(res, run_path(cfg, u0(i), seed=path_seed(0, i)))
+
+
+class TestRunPaths:
+    """run_paths rows equal one-path runs on the same noise paths bit for bit."""
+
+    CONFIGS = {
+        "em_imex": ito_config(n_steps=30, record_stride=7, martingale_steps=(10, 30)),
+        "heun_strat": ModelConfig(
+            form=ModelForm(FormKind.STRATONOVICH_MCF), scheme="heun_strat",
+            n=16, dt=1e-4, n_steps=30, record_stride=7, martingale_steps=(10, 30),
+        ),
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(CONFIGS))
+    def test_rows_equal_run_path_on_coarse_and_refined_noise(self, scheme, monkeypatch):
+        monkeypatch.setattr(harness, "BATCH_CELLS", 4 * 16 * 16)  # batches of 4 and 1
+        u0 = TestBatchParity.u0
+        coarse_cfg = self.CONFIGS[scheme]
+        coarse = [NoisePath.generate(path_seed(77, i), coarse_cfg.dt, 30) for i in range(5)]
+        fine = [nz.refine() for nz in coarse]
+        fine_cfg = ModelConfig(**{
+            **coarse_cfg.__dict__, "dt": coarse_cfg.dt / 2, "n_steps": 60,
+            "martingale_steps": (20, 60),
+        })
+        for cfg, noises in ((coarse_cfg, coarse), (fine_cfg, fine)):
+            results = run_paths(cfg, u0, iter(noises))
+            assert len(results) == len(noises)
+            for i, (res, nz) in enumerate(zip(results, noises)):
+                assert res.seed == nz.seed
+                assert not res.censored and res.steps_done == cfg.n_steps
+                assert_same_path(res, run_path(cfg, u0(i), noise=nz))
+
+    def test_longer_noise_and_shared_initial_field(self):
+        cfg = ito_config()
+        u0 = smooth_u0(cfg.grid)
+        noises = [NoisePath.generate(5, cfg.dt, 20), NoisePath.generate(6, cfg.dt, 35)]
+        for res, nz in zip(run_paths(cfg, u0, noises), noises):
+            assert_same_path(res, run_path(cfg, u0, noise=nz))
+
+    def test_noise_validation(self):
+        cfg = ito_config()
+        u0 = ScalarField.constant(cfg.grid, 0.0)
+        with pytest.raises(ValueError, match="does not match the config dt"):
+            run_paths(cfg, u0, [NoisePath.generate(0, 2e-3, 20)])
+        with pytest.raises(ValueError, match="shorter than the run"):
+            run_paths(cfg, u0, [NoisePath.generate(0, 1e-3, 20), NoisePath.generate(1, 1e-3, 10)])
+        assert run_paths(cfg, u0, []) == []
 
 
 class TestSweepPlan:
