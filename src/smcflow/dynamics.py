@@ -504,7 +504,9 @@ def monitor_tau_r(state: PathState, hess_linf: float, r: float) -> PathState:
 
 # The mild map evaluates its time levels in blocks of at most
 # PICARD_BLOCK_CELLS // n^2 states per batched transform (64 KiB per real
-# (rows, n, n) field), which keeps its temporaries a few MB at any horizon.
+# (rows, n, n) field). That bounds the per-block gradient, Hessian and
+# transform temporaries; the semigroup factors, the Duhamel buffers and the
+# trajectory still hold one field per time level, so they grow with m.
 PICARD_BLOCK_CELLS = 1 << 13
 
 

@@ -100,9 +100,13 @@ class ModelConfig:
         if any(s < 1 or s > self.n_steps for s in self.martingale_steps):
             raise ValueError("martingale sample steps must lie in [1, n_steps]")
         if self.stop_at_tau_r and self.martingale_steps:
+            # The ensemble martingale test needs the same sample steps on
+            # every path; a one-path run would not, so this check could move
+            # into run_ensemble if such a run ever needs both options.
             raise ValueError(
                 "stop_at_tau_r cannot be combined with martingale_steps: a path "
-                "stopped at tau_R misses its later martingale samples"
+                "stopped at tau_R misses its later martingale samples, and the "
+                "ensemble martingale test needs the same sample steps on every path"
             )
 
     @property
@@ -186,7 +190,6 @@ def run_paths(
     cfg: ModelConfig,
     u0: ScalarField | Callable[[int], ScalarField],
     noises: Iterable[NoisePath],
-    stepper=None,
 ) -> list[PathResult]:
     """Run one path per noise path; path i starts from u0, or from u0(i).
 
@@ -195,8 +198,7 @@ def run_paths(
     consumed one batch at a time, so a generator holds only one batch of
     noise paths in memory.
     """
-    if stepper is None:
-        stepper = make_stepper(cfg)
+    stepper = make_stepper(cfg)
     rows = max(1, BATCH_CELLS // (cfg.n * cfg.n))
     pending = iter(noises)
     results: list[PathResult] = []
