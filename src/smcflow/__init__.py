@@ -6,90 +6,4 @@ identity checks, energy and area inequality monitors, martingale statistics,
 truncation/stopping-time machinery, and shared-noise parameter sweeps.
 """
 
-from .grid import (
-    DiffMethod,
-    GridSpec,
-    ScalarField,
-    VectorField,
-    SymTensorField,
-    gradient,
-    divergence,
-    laplacian,
-    hessian,
-    implicit_solve,
-    integrate,
-    inner,
-    l2_norm_sq,
-    linf_norm,
-)
-from .geometry import (
-    GeometryBundle,
-    geometry_bundle,
-    mcf_operator,
-    anisotropic_operator,
-    strat_correction,
-    gaussian_curvature,
-    det_dw,
-    gauss_bonnet_residual,
-    cofactor_flux_residual,
-)
-from .noise import NoisePath, derive_key, path_seed
-from .dynamics import (
-    FormKind,
-    ModelForm,
-    PathState,
-    StepAudit,
-    NonFiniteFieldError,
-    drift,
-    diffusion,
-    truncate_hessian,
-    EmImexStepper,
-    HeunStratStepper,
-    step_em_imex,
-    step_heun_strat,
-    monitor_tau_r,
-    mild_picard_iterate,
-    default_dt,
-)
-from .monitors import (
-    EnergyRecord,
-    MartingaleTracker,
-    MartingaleReport,
-    martingale_test,
-    gradient_inequality_check,
-    area_inequality_check,
-    kendall_tau,
-    mass_evolution_residual,
-    integrated_area_process,
-    record,
-)
-from .harness import (
-    ModelConfig,
-    PathResult,
-    EnsembleReport,
-    SweepPlan,
-    run_path,
-    run_ensemble,
-    sweep_eta,
-    sweep_epsilon,
-    sweep_R,
-    self_convergence_dt,
-    self_convergence_resolution,
-)
-from .config import (
-    RunConfig,
-    ConfigError,
-    parse_config,
-    serialize_config,
-    build_initial,
-    random_smooth_field,
-)
-from .snapshot import (
-    SnapshotError,
-    write_snapshot,
-    read_snapshot,
-    write_series,
-    read_series,
-)
-
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ from .config import (
 )
 from .dynamics import FormKind, NonFiniteFieldError
 from .harness import (
+    SWEEP_AXES,
     SweepPlan,
     run_ensemble,
     run_path,
@@ -80,7 +81,7 @@ def _build_parser() -> _Parser:
 
     sw = sub.add_parser("sweep", help="shared-noise parameter sweep")
     sw.add_argument("config")
-    sw.add_argument("--axis", required=True, choices=("eta", "epsilon", "R"))
+    sw.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sw.add_argument(
         "--values", required=True, help="comma-separated values along the axis"
     )

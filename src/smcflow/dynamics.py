@@ -10,11 +10,13 @@ drift and the diffusion coefficient field sqrt(rho) * H(grad u):
 * ``regularized_truncated`` additionally clips the Hessian entrywise
 * ``rho_variant``        du = (rho/2 Lap u + (1 - rho/2) H v) dt + sqrt(rho) H dW
 
-The Ito stepper is IMEX: the linear part A = c * Lap - eta * Delta^(2K)
-(with c the form's Laplacian prefactor) is treated implicitly through a
-diagonal Fourier solve, and the remaining nondegenerate-free terms stay
-explicit. For a constant initial field every stepper reproduces
-u(t) = c + sqrt(rho) W(t) to rounding.
+Every form splits its drift into a linear part A = c * Lap - eta * Delta^(2K)
+(c the form's Laplacian prefactor, 0 for stratonovich_mcf) and the explicit
+curvature terms, which :func:`explicit_terms` evaluates together with the
+noise coefficient. The Ito stepper is IMEX: A is treated implicitly through
+a diagonal Fourier solve and the curvature terms stay explicit. For a
+constant initial field every stepper reproduces u(t) = c + sqrt(rho) W(t)
+to rounding.
 """
 from __future__ import annotations
 
@@ -24,17 +26,16 @@ from enum import Enum
 import numpy as np
 
 from .grid import (
-    DiffMethod,
     GridSpec,
     ScalarField,
-    SymTensorField,
     div_spectral,
     get_workspace,
     grad_hess_spectral_hat,
     grad_spectral_hat,
     hess_linf_rows,
 )
-from .geometry import anisotropic_operator, geometry_bundle, mcf_operator, strat_correction
+# unused here, but perfbench/spans.py wraps the name dynamics.geometry_bundle
+from .geometry import geometry_bundle  # noqa: F401
 from .noise import NoisePath
 
 __all__ = [
@@ -44,15 +45,12 @@ __all__ = [
     "PathState",
     "PathBatch",
     "StepAudit",
+    "explicit_terms",
     "drift",
     "diffusion",
-    "truncate_hessian",
     "truncate_hessian_arrays",
     "EmImexStepper",
     "HeunStratStepper",
-    "step_em_imex",
-    "step_heun_strat",
-    "monitor_tau_r",
     "PicardReport",
     "mild_picard_iterate",
     "default_dt",
@@ -102,7 +100,9 @@ class ModelForm:
 
     @property
     def lap_coef(self) -> float:
-        """Laplacian prefactor folded into the implicit operator."""
+        """Laplacian prefactor of the linear part A."""
+        if self.kind is FormKind.STRATONOVICH_MCF:
+            return 0.0
         if self.kind is FormKind.ITO_MCF:
             return 0.5
         if self.kind is FormKind.RHO_VARIANT:
@@ -110,6 +110,11 @@ class ModelForm:
         if self.kind in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
             return 1.0 + self.eps
         return 1.0  # ito_anisotropic
+
+    @property
+    def hv_coef(self) -> float:
+        """Prefactor of the explicit H v term; 0 for the anisotropic family."""
+        return 0.0 if self.kind in _ANISO_KINDS else 1.0 - self.lap_coef
 
     @property
     def eta_eff(self) -> float:
@@ -174,47 +179,53 @@ def truncate_hessian_arrays(a11, a12, a22, r: float):
     return _theta_times_a(a11, r), _theta_times_a(a12, r), _theta_times_a(a22, r)
 
 
-def truncate_hessian(hess: SymTensorField, r: float) -> SymTensorField:
-    a11, a12, a22 = truncate_hessian_arrays(hess.a11, hess.a12, hess.a22, r)
-    return SymTensorField(hess.grid, a11, a12, a22)
+def explicit_terms(uh: np.ndarray, form: ModelForm, ws):
+    """Explicit drift, noise coefficient and Hessian sup of a batch of fields.
 
-
-def drift(u: ScalarField, form: ModelForm, method: DiffMethod = DiffMethod.SPECTRAL) -> ScalarField:
-    """Full drift field of the given form (including any linear parts)."""
-    b = geometry_bundle(u, method, with_dw=False)
-    k = form.kind
-    if k is FormKind.STRATONOVICH_MCF:
-        return mcf_operator(b)
-    if k is FormKind.ITO_MCF:
-        lap = b.hess.a11 + b.hess.a22
-        return ScalarField(u.grid, 0.5 * lap + 0.5 * mcf_operator(b).values)
-    if k is FormKind.RHO_VARIANT:
-        lap = b.hess.a11 + b.hess.a22
-        c = 0.5 * form.rho
-        return ScalarField(u.grid, c * lap + (1.0 - c) * mcf_operator(b).values)
-    # anisotropic family: (1 + eps) Lap u - w^T D^2u w / 2 - eta Delta^(2K) u
-    if k is FormKind.REGULARIZED_TRUNCATED:
-        hs = truncate_hessian(b.hess, form.r_trunc)
+    ``uh`` is the (P, n, n//2 + 1) transform of P fields. Returns the
+    explicit drift N (the drift minus A u): -w^T Theta_R(D^2u) w / 2 for the
+    anisotropic family, hv_coef * H v otherwise; the noise coefficient
+    g = sqrt(rho) H; and each row's ||D^2 u||_inf before the cutoff (None
+    outside the anisotropic family). The cutoff runs only once some row
+    exceeds R/2; a NaN row maximum fails that test and takes the full clip.
+    """
+    aniso = form.kind in _ANISO_KINDS
+    hess_linf = None
+    if aniso:
+        g1, g2, a11, a12, a22 = grad_hess_spectral_hat(uh, ws)
+        hess_linf = hess_linf_rows(a11, a12, a22)
+        r = form.r_trunc
+        if form.kind is FormKind.REGULARIZED_TRUNCATED and not hess_linf.max() <= 0.5 * r:
+            a11, a12, a22 = truncate_hessian_arrays(a11, a12, a22, r)
     else:
-        hs = b.hess
-    w1, w2 = b.w.x1, b.w.x2
-    corr = 0.5 * (w1 * w1 * hs.a11 + 2.0 * w1 * w2 * hs.a12 + w2 * w2 * hs.a22)
-    lap = b.hess.a11 + b.hess.a22
-    out = (1.0 + form.eps) * lap - corr if form.eps != 0.0 else lap - corr
-    if form.eta_eff != 0.0:
-        if method is not DiffMethod.SPECTRAL:
-            raise ValueError("polyharmonic term requires the spectral method")
-        ws = get_workspace(u.grid.n)
-        out = out - form.eta * ws.inverse(ws.polyharmonic_sym(form.big_k) * ws.forward(u.values))
-    return ScalarField(u.grid, out)
+        g1, g2 = grad_spectral_hat(uh, ws)
+    hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
+    w1 = g1 / hval
+    w2 = g2 / hval
+    if aniso:
+        n_explicit = -0.5 * (w1 * w1 * a11 + 2.0 * w1 * w2 * a12 + w2 * w2 * a22)
+    else:
+        hv = hval * div_spectral(w1, w2, ws)
+        # unit prefactors skip their multiply, which would not change a bit
+        n_explicit = hv if form.hv_coef == 1.0 else form.hv_coef * hv
+    g = hval if form.rho == 1.0 else np.sqrt(form.rho) * hval
+    return n_explicit, g, hess_linf
 
 
-def diffusion(u: ScalarField, form: ModelForm, method: DiffMethod = DiffMethod.SPECTRAL) -> ScalarField:
+def drift(u: ScalarField, form: ModelForm) -> ScalarField:
+    """Full drift field of the given form: A u plus the explicit terms."""
+    ws = get_workspace(u.grid.n)
+    uh = ws.forward(u.values[None])
+    n_explicit, _, _ = explicit_terms(uh, form, ws)
+    lin = ws.inverse(ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k) * uh)
+    return ScalarField(u.grid, lin[0] + n_explicit[0])
+
+
+def diffusion(u: ScalarField, form: ModelForm) -> ScalarField:
     """Noise coefficient field sqrt(rho) * H(grad u)."""
-    b = geometry_bundle(u, method, with_dw=False)
-    if form.rho == 1.0:
-        return ScalarField(u.grid, b.H.values)
-    return ScalarField(u.grid, np.sqrt(form.rho) * b.H.values)
+    ws = get_workspace(u.grid.n)
+    _, g, _ = explicit_terms(ws.forward(u.values[None]), form, ws)
+    return ScalarField(u.grid, g[0])
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +243,6 @@ class PathState:
     u: ScalarField
     step: int
     noise: NoisePath
-    tau_r_triggered: bool = False
-    tau_r_time: float | None = None
 
     @property
     def t(self) -> float:
@@ -341,14 +350,7 @@ class EmImexStepper:
         self.dt = dt
         self.noise_off = noise_off
         self.ws = get_workspace(grid.n)
-        self.lin_sym = form.lap_coef * self.ws.lap_sym
-        if form.eta_eff != 0.0:
-            self.lin_sym = self.lin_sym - form.eta * self.ws.polyharmonic_sym(form.big_k)
-        self.denom = 1.0 - dt * self.lin_sym
-        self.sqrt_rho = np.sqrt(form.rho)
-        self.aniso = form.kind in _ANISO_KINDS
-        c = form.lap_coef
-        self.hv_coef = {FormKind.ITO_MCF: 0.5, FormKind.RHO_VARIANT: 1.0 - c}.get(form.kind, 0.0)
+        self.denom = 1.0 - dt * self.ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k)
 
     def step(self, state, want_fields: bool = False):
         """Advance one PathState, or every row of a PathBatch, by one step.
@@ -359,26 +361,7 @@ class EmImexStepper:
         ws = self.ws
         batch = _as_batch(state)
         u = batch.u
-        uh = ws.forward(u)
-        hess_linf = None
-        if self.aniso:
-            g1, g2, a11, a12, a22 = grad_hess_spectral_hat(uh, ws)
-            hess_linf = hess_linf_rows(a11, a12, a22)
-            if self.form.kind is FormKind.REGULARIZED_TRUNCATED:
-                a11, a12, a22 = truncate_hessian_arrays(a11, a12, a22, self.form.r_trunc)
-            hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-            w1 = g1 / hval
-            w2 = g2 / hval
-            n_expl = -0.5 * (w1 * w1 * a11 + 2.0 * w1 * w2 * a12 + w2 * w2 * a22)
-        else:
-            g1, g2 = grad_spectral_hat(uh, ws)
-            hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-            w1 = g1 / hval
-            w2 = g2 / hval
-            v = div_spectral(w1, w2, ws)
-            n_expl = self.hv_coef * (hval * v)
-
-        g = hval if self.form.rho == 1.0 else self.sqrt_rho * hval
+        n_expl, g, hess_linf = explicit_terms(ws.forward(u), self.form, ws)
         inv_n2 = 1.0 / (self.grid.n**2)
         g_mass = np.sum(g, axis=(1, 2)) * inv_n2
         if self.noise_off:
@@ -429,15 +412,6 @@ class HeunStratStepper:
         self.dt = dt
         self.noise_off = noise_off
         self.ws = get_workspace(grid.n)
-        self.sqrt_rho = np.sqrt(form.rho)
-
-    def _hv_and_g(self, values):
-        ws = self.ws
-        g1, g2 = grad_spectral_hat(ws.forward(values), ws)
-        hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-        v = div_spectral(g1 / hval, g2 / hval, ws)
-        g = hval if self.form.rho == 1.0 else self.sqrt_rho * hval
-        return hval * v, g
 
     def step(self, state, want_fields: bool = False):
         """Advance one PathState, or every row of a PathBatch, by one step.
@@ -445,6 +419,7 @@ class HeunStratStepper:
         A row failing in the predictor or the corrector is reported by
         NonFiniteFieldError, as in :meth:`EmImexStepper.step`.
         """
+        ws = self.ws
         batch = _as_batch(state)
         u = batch.u
         if self.noise_off:
@@ -452,10 +427,10 @@ class HeunStratStepper:
         else:
             dw = batch.increments[:, batch.step]
         dw3 = dw[:, None, None]
-        hv0, g0 = self._hv_and_g(u)
+        hv0, g0, _ = explicit_terms(ws.forward(u), self.form, ws)
         pred = u + self.dt * hv0 + g0 * dw3
         _check_finite(pred, batch.step + 1)
-        hv1, g1 = self._hv_and_g(pred)
+        hv1, g1, _ = explicit_terms(ws.forward(pred), self.form, ws)
         drift_avg = 0.5 * (hv0 + hv1)
         g_avg = 0.5 * (g0 + g1)
         u_plus = u + self.dt * drift_avg + g_avg * dw3
@@ -476,27 +451,6 @@ class HeunStratStepper:
             audit.n_explicit = drift_avg
             audit.u_plus = u_plus
         return _advanced(state, u_plus, audit)
-
-
-def step_em_imex(state: PathState, form: ModelForm, noise_off: bool = False) -> PathState:
-    """One IMEX Euler-Maruyama step (convenience wrapper)."""
-    stepper = EmImexStepper(state.u.grid, form, state.noise.dt, noise_off)
-    new_state, _ = stepper.step(state)
-    return new_state
-
-
-def step_heun_strat(state: PathState, form: ModelForm, noise_off: bool = False) -> PathState:
-    """One Heun (Stratonovich) step (convenience wrapper)."""
-    stepper = HeunStratStepper(state.u.grid, form, state.noise.dt, noise_off)
-    new_state, _ = stepper.step(state)
-    return new_state
-
-
-def monitor_tau_r(state: PathState, hess_linf: float, r: float) -> PathState:
-    """Latch the first time ||D^2 u||_inf reaches R/2; idempotent afterwards."""
-    if not state.tau_r_triggered and hess_linf >= 0.5 * r:
-        return replace(state, tau_r_triggered=True, tau_r_time=state.t)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +504,7 @@ def mild_picard_iterate(
     if m > noise.n_steps:
         raise ValueError("noise path too short for the requested horizon")
 
-    lin_sym = ws.linear_sym(form.eps, form.eta, form.big_k)
+    lin_sym = ws.linear_sym(form.lap_coef, form.eta, form.big_k)
     # semigroup factors S(j dt) for lags 0..m (lag 0 is the identity)
     semi = np.empty((m + 1,) + lin_sym.shape)
     semi[0] = 1.0
@@ -571,14 +525,9 @@ def mild_picard_iterate(
         """Apply the mild map to a (m + 1, n, n//2 + 1) trajectory of Fourier states."""
         for lo in range(0, m, rows):
             blk = slice(lo, min(m, lo + rows))
-            g1, g2, a11, a12, a22 = grad_hess_spectral_hat(traj[blk], ws)
-            a11, a12, a22 = truncate_hessian_arrays(a11, a12, a22, form.r_trunc)
-            hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-            w1 = g1 / hval
-            w2 = g2 / hval
-            f = w1 * w1 * a11 + 2.0 * w1 * w2 * a12 + w2 * w2 * a22
-            f_hat, g_hat = ws.forward(np.stack([f, hval]))
-            c[blk] = (-0.5 * dt) * f_hat + dw[blk] * g_hat
+            n_explicit, g, _ = explicit_terms(traj[blk], form, ws)
+            n_hat, g_hat = ws.forward(np.stack([n_explicit, g]))
+            c[blk] = dt * n_hat + dw[blk] * g_hat
         # level j sums S(j dt) u0, then S((j - s) dt) c_s for s = 0, 1, ..., j - 1
         out = np.empty_like(traj)
         out[0] = u0_hat

@@ -175,9 +175,9 @@ class SpectralWorkspace:
             self._poly_cache[big_k] = sym
         return sym
 
-    def linear_sym(self, eps: float, eta: float, big_k: int) -> np.ndarray:
-        """Symbol of A = (1 + eps) Delta - eta Delta^(2K)."""
-        sym = (1.0 + eps) * self.lap_sym
+    def linear_sym(self, c: float, eta: float, big_k: int) -> np.ndarray:
+        """Symbol of A = c Delta - eta Delta^(2K)."""
+        sym = c * self.lap_sym
         if eta != 0.0:
             sym = sym - eta * self.polyharmonic_sym(big_k)
         return sym
@@ -313,7 +313,7 @@ def implicit_solve(
     The solve is diagonal in Fourier space. The symbol of A is nonpositive
     whenever 1 + eps >= 0 and eta >= 0, so the solve contracts every nonzero
     mode and passes the mean through unchanged. ``eps`` may be negative (down
-    to -1): the time steppers fold prefactors like Delta/2 into A this way.
+    to -1), which scales the Laplacian down, e.g. to Delta/2 at eps = -1/2.
     """
     if dt <= 0.0:
         raise ValueError("implicit_solve needs dt > 0")
@@ -325,14 +325,15 @@ def implicit_solve(
         raise ValueError("implicit_solve needs integer big_k >= 1")
     _require_finite(rhs.values, "implicit_solve rhs")
     ws = get_workspace(rhs.grid.n)
-    denom = 1.0 - dt * ws.linear_sym(eps, eta, big_k)
+    denom = 1.0 - dt * ws.linear_sym(1.0 + eps, eta, big_k)
     return ScalarField(rhs.grid, ws.inverse(ws.forward(rhs.values) / denom))
 
 
 def apply_linear(u: ScalarField, eps: float, eta: float, big_k: int) -> ScalarField:
     """Forward application of A = (1 + eps) Delta - eta Delta^(2K)."""
     ws = get_workspace(u.grid.n)
-    return ScalarField(u.grid, ws.inverse(ws.linear_sym(eps, eta, big_k) * ws.forward(u.values)))
+    sym = ws.linear_sym(1.0 + eps, eta, big_k)
+    return ScalarField(u.grid, ws.inverse(sym * ws.forward(u.values)))
 
 
 def integrate(u: ScalarField) -> float:

@@ -187,7 +187,12 @@ class MartingaleTracker:
             if stepper is None or u0 is None:
                 raise ValueError("a general phi needs the stepper and the initial field")
             self.ws = stepper.ws
-            self.lin_sym = getattr(stepper, "lin_sym", None)
+            # the implicit part A u+ that em_imex audits leave out of
+            # n_explicit; heun_strat (lap_coef 0) has none
+            form = stepper.form
+            self.lin_sym = None
+            if form.lap_coef != 0.0:
+                self.lin_sym = self.ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k)
             self.h2 = 1.0 / phi.grid.n**2
             self.phi_vals = phi.values
             self.mass0 = self.h2 * float(np.sum(u0.values * self.phi_vals))

@@ -17,14 +17,10 @@ from smcflow.dynamics import (
     diffusion,
     drift,
     mild_picard_iterate,
-    monitor_tau_r,
-    step_em_imex,
-    step_heun_strat,
-    truncate_hessian,
     truncate_hessian_arrays,
 )
 from smcflow.geometry import geometry_bundle
-from smcflow.grid import GridSpec, ScalarField, SymTensorField, gradient, l2_norm_sq
+from smcflow.grid import GridSpec, ScalarField, get_workspace, gradient, l2_norm_sq
 from smcflow.noise import NoisePath, path_seed
 
 TWO_PI = 2.0 * math.pi
@@ -66,6 +62,12 @@ class TestModelForm:
         assert ModelForm(FormKind.ITO_ANISOTROPIC).lap_coef == 1.0
         assert ModelForm(FormKind.RHO_VARIANT, rho=0.6).lap_coef == 0.3
         assert ModelForm(FormKind.REGULARIZED, eps=0.1).lap_coef == pytest.approx(1.1)
+        assert ModelForm(FormKind.STRATONOVICH_MCF).lap_coef == 0.0
+        assert ModelForm(FormKind.STRATONOVICH_MCF).hv_coef == 1.0
+        assert ModelForm(FormKind.ITO_MCF).hv_coef == 0.5
+        assert ModelForm(FormKind.RHO_VARIANT, rho=0.5).hv_coef == 0.75
+        assert ModelForm(FormKind.ITO_ANISOTROPIC).hv_coef == 0.0
+        assert ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=30.0).hv_coef == 0.0
 
     def test_eta_eff_only_for_regularized_family(self):
         assert ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-4).eta_eff == 1e-4
@@ -123,13 +125,32 @@ class TestDrift:
         assert gaps[0] <= 1e-5
         assert gaps[1] <= 1e-10
 
-    def test_polyharmonic_needs_spectral(self):
-        from smcflow.grid import DiffMethod
-
-        u = smooth_u0(GridSpec(16))
-        form = ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-4, big_k=3)
-        with pytest.raises(ValueError, match="spectral"):
-            drift(u, form, DiffMethod.CENTRAL2)
+    @pytest.mark.parametrize("form, steep", [
+        (ModelForm(FormKind.ITO_MCF), False),
+        (ModelForm(FormKind.ITO_ANISOTROPIC), False),
+        (ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-4, big_k=3), False),
+        (ModelForm(FormKind.RHO_VARIANT, rho=0.25), False),
+        (ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=30.0), True),
+    ])
+    def test_drift_and_diffusion_match_the_stepper_bitwise(self, form, steep):
+        # drift() = A u + N and diffusion() = g, with N and g the fields the
+        # em_imex step itself used; the steep field (sup |D^2 u| = 2 pi^2 >
+        # R/2) makes the cutoff act
+        grid = GridSpec(16)
+        x1, _ = grid.nodes()
+        u = ScalarField(grid, 0.5 * np.sin(TWO_PI * x1)) if steep else smooth_u0(grid)
+        noise = NoisePath.generate(11, 1e-4, 1)
+        stepper = EmImexStepper(grid, form, noise.dt)
+        _, audit = stepper.step(PathState(u=u, step=0, noise=noise), want_fields=True)
+        if steep:
+            assert audit.hess_linf > 0.5 * form.r_trunc
+        ws = get_workspace(grid.n)
+        uh = ws.forward(u.values[None])
+        lin = ws.inverse(ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k) * uh)
+        # a one-path step returns the audit of row 0, with (n, n) fields
+        expected = lin[0] + audit.n_explicit
+        assert drift(u, form).values.tobytes() == expected.tobytes()
+        assert diffusion(u, form).values.tobytes() == audit.g.tobytes()
 
 
 class TestDiffusion:
@@ -192,15 +213,6 @@ class TestTruncation:
         assert np.all(np.diff(theta) <= 0.0)
         assert theta[0] == 1.0
         assert theta[-1] == 0.0
-
-    def test_tensor_wrapper(self):
-        grid = GridSpec(8)
-        ones = np.ones((8, 8))
-        h = SymTensorField(grid, 10.0 * ones, 0.1 * ones, -10.0 * ones)
-        t = truncate_hessian(h, 4.0)
-        assert np.all(t.a11 == 0.0)
-        np.testing.assert_array_equal(t.a12, h.a12)
-        assert np.all(t.a22 == 0.0)
 
     def test_radius_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -307,17 +319,6 @@ class TestFlatExactness:
 
 
 class TestStepMechanics:
-    def test_convenience_wrappers_advance(self):
-        grid = GridSpec(16)
-        noise = NoisePath.generate(5, 1e-3, 4)
-        state = PathState(u=smooth_u0(grid), step=0, noise=noise)
-        s1 = step_em_imex(state, ModelForm(FormKind.ITO_MCF))
-        assert s1.step == 1
-        assert s1.t == pytest.approx(1e-3)
-        s2 = step_heun_strat(state, ModelForm(FormKind.STRATONOVICH_MCF))
-        assert s2.step == 1
-        assert not np.array_equal(s1.u.values, state.u.values)
-
     def test_mass_residual_tiny(self):
         grid = GridSpec(32)
         noise = NoisePath.generate(17, 1e-4, 8)
@@ -447,44 +448,6 @@ class TestDecayRate:
         t = np.arange(301) * 1e-4
         rate = -0.5 * np.polyfit(t, np.log(energies), 1)[0]
         assert rate == pytest.approx(4.0 * math.pi**2, rel=0.01)
-
-
-class TestTauMonitor:
-    def test_flat_never_triggers(self):
-        grid = GridSpec(16)
-        noise = NoisePath.generate(0, 1e-3, 2)
-        state = PathState(u=ScalarField.constant(grid, 1.0), step=0, noise=noise)
-        state = monitor_tau_r(state, hess_linf=0.0, r=30.0)
-        assert not state.tau_r_triggered
-        assert state.tau_r_time is None
-
-    def test_triggers_at_time_zero(self):
-        # sup |D^2 u| = 2 pi^2 ~ 19.74 >= 15 = R/2 already at the start
-        grid = GridSpec(16)
-        x1, _ = grid.nodes()
-        u0 = ScalarField(grid, 0.5 * np.sin(TWO_PI * x1))
-        hess_sup = geometry_bundle(u0).hess.linf()
-        assert hess_sup == pytest.approx(2.0 * math.pi**2, rel=1e-10)
-        noise = NoisePath.generate(0, 1e-3, 2)
-        state = PathState(u=u0, step=0, noise=noise)
-        state = monitor_tau_r(state, hess_linf=hess_sup, r=30.0)
-        assert state.tau_r_triggered
-        assert state.tau_r_time == 0.0
-
-    def test_latch_is_permanent(self):
-        grid = GridSpec(16)
-        noise = NoisePath.generate(0, 1e-3, 8)
-        state = PathState(u=ScalarField.constant(grid, 0.0), step=3, noise=noise)
-        state = monitor_tau_r(state, hess_linf=100.0, r=30.0)
-        first_time = state.tau_r_time
-        assert state.tau_r_triggered and first_time == pytest.approx(3e-3)
-        state = PathState(
-            u=state.u, step=5, noise=noise,
-            tau_r_triggered=state.tau_r_triggered, tau_r_time=state.tau_r_time,
-        )
-        state = monitor_tau_r(state, hess_linf=0.0, r=30.0)
-        assert state.tau_r_triggered
-        assert state.tau_r_time == first_time
 
 
 class TestPicard:

@@ -6,6 +6,7 @@ import pytest
 
 from smcflow.dynamics import FormKind, ModelForm, NonFiniteFieldError, PathState
 from smcflow import harness
+from smcflow.geometry import geometry_bundle
 from smcflow.grid import GridSpec, ScalarField
 from smcflow.harness import (
     ModelConfig,
@@ -178,7 +179,9 @@ class TestRunPath:
     def test_tau_r_stop_at_time_zero(self):
         grid = GridSpec(16)
         x1, _ = grid.nodes()
-        steep = ScalarField(grid, 0.5 * np.sin(TWO_PI * x1))  # hess sup ~ 19.7
+        steep = ScalarField(grid, 0.5 * np.sin(TWO_PI * x1))
+        # sup |D^2 u| = 2 pi^2 ~ 19.74 >= 15 = R/2 already at the start
+        assert geometry_bundle(steep).hess.linf() == pytest.approx(2.0 * math.pi**2, rel=1e-10)
         cfg = ito_config(
             form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=30.0),
             n_steps=10, stop_at_tau_r=True,
@@ -402,9 +405,10 @@ class TestSweepPlan:
         return ito_config(n_steps=10)
 
     def test_axis_and_shape_validation(self):
-        with pytest.raises(ValueError, match="unknown sweep axis"):
-            SweepPlan(axis="mu", values=(1.0, 2.0), base_config=self.base(),
-                      n_paths=2, base_seed=0)
+        for axis in ("mu", "dt"):
+            with pytest.raises(ValueError, match="unknown sweep axis"):
+                SweepPlan(axis=axis, values=(1.0, 2.0), base_config=self.base(),
+                          n_paths=2, base_seed=0)
         with pytest.raises(ValueError, match="at least two values"):
             SweepPlan(axis="eta", values=(1.0,), base_config=self.base(),
                       n_paths=2, base_seed=0)
@@ -414,16 +418,6 @@ class TestSweepPlan:
         with pytest.raises(ValueError, match="n_paths"):
             SweepPlan(axis="eta", values=(1.0, 0.5), base_config=self.base(),
                       n_paths=0, base_seed=0)
-
-    def test_dt_axis_needs_dyadic_refinement(self):
-        SweepPlan(axis="dt", values=(4e-4, 2e-4, 1e-4), base_config=self.base(),
-                  n_paths=2, base_seed=0)
-        with pytest.raises(ValueError, match="factors of 2"):
-            SweepPlan(axis="dt", values=(1e-3, 3e-4), base_config=self.base(),
-                      n_paths=2, base_seed=0)
-        with pytest.raises(ValueError, match="factors of 2"):
-            SweepPlan(axis="dt", values=(1e-4, 2e-4), base_config=self.base(),
-                      n_paths=2, base_seed=0)
 
 
 class TestSweeps:
