@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import (
     ConfigError,
@@ -34,7 +31,6 @@ from .monitors import EnergyRecord, RECORD_FIELDS
 from .noise import NoisePath
 from .snapshot import (
     SnapshotError,
-    format_series,
     read_snapshot,
     write_series,
     write_snapshot,
@@ -207,20 +203,28 @@ def _cmd_ensemble(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = config_from_file(args.config)
-    out = _outdir(cfg, args.output_dir)
     try:
         values = tuple(float(v) for v in args.values.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse sweep values {args.values!r}")
     mc = to_model_config(cfg)
-    u0 = build_initial(cfg.initial_condition, mc.grid)
     form_kind = mc.form.kind
+    if args.axis == "R" and form_kind is not FormKind.REGULARIZED_TRUNCATED:
+        raise ConfigError("R sweeps need form = regularized_truncated")
+    if form_kind not in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
+        raise ConfigError(
+            f"{args.axis} sweeps need form = regularized or regularized_truncated"
+        )
+    # the plan builds every sweep config, so bad values fail before any run
+    try:
+        plan = SweepPlan(args.axis, values, mc, cfg.n_paths, cfg.base_seed)
+    except ValueError as e:
+        raise ConfigError(f"bad sweep values {args.values!r}: {e}") from None
+    out = _outdir(cfg, args.output_dir)
+    u0 = build_initial(cfg.initial_condition, mc.grid)
 
     lines = []
     if args.axis == "eta":
-        if form_kind not in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
-            raise ConfigError("eta sweeps need form = regularized or regularized_truncated")
-        plan = SweepPlan("eta", values, mc, cfg.n_paths, cfg.base_seed)
         rep = sweep_eta(plan, u0)
         lines.append("index,eta,mean_diff_from_prev")
         for i, eta in enumerate(rep.etas):
@@ -228,9 +232,6 @@ def _cmd_sweep(args) -> int:
             lines.append("%d,%.17g,%.17g" % (i, eta, d))
         print(f"eta sweep Cauchy trend: {'ok' if rep.cauchy else 'NOT DECREASING'}")
     elif args.axis == "epsilon":
-        if form_kind not in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
-            raise ConfigError("epsilon sweeps need form = regularized or regularized_truncated")
-        plan = SweepPlan("epsilon", values, mc, cfg.n_paths, cfg.base_seed)
         rep = sweep_epsilon(plan, u0)
         lines.append("index,eps,area_excess,grad_margin,mean_diff_from_prev")
         for i, eps in enumerate(rep.eps_values):
@@ -261,9 +262,6 @@ def _cmd_sweep(args) -> int:
                   "eta = 0 with tau_R untriggered, here " + " and ".join(broken),
                   file=sys.stderr)
     else:
-        if form_kind is not FormKind.REGULARIZED_TRUNCATED:
-            raise ConfigError("R sweeps need form = regularized_truncated")
-        plan = SweepPlan("R", values, mc, cfg.n_paths, cfg.base_seed)
         rep = sweep_R(plan, u0)
         lines.append("index,R,trigger_fraction")
         for i, r in enumerate(rep.r_values):

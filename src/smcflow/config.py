@@ -89,6 +89,7 @@ def _parse_float(key: str, raw: str) -> float:
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    """Check every field; returns cfg with an unset dt and scheme derived."""
     if cfg.form not in _FORM_NAMES:
         raise ConfigError(f"form must be one of {_FORM_NAMES}, got {cfg.form!r}")
     if cfg.n < 8 or cfg.n % 2:
@@ -101,12 +102,14 @@ def _validate(cfg: RunConfig) -> RunConfig:
     strat = cfg.form == "stratonovich_mcf"
     if strat != (scheme == "heun_strat"):
         raise ConfigError(f"scheme {scheme!r} cannot integrate form {cfg.form!r}")
-    if cfg.T <= 0.0:
-        raise ConfigError(f"T must be positive, got {cfg.T}")
-    if cfg.dt < 0.0:
-        raise ConfigError(f"dt must be positive, got {cfg.dt}")
-    dt = cfg.dt if cfg.dt else resolve_dt(cfg.n, cfg.T)
-    m = round(cfg.T / dt)
+    # the chained comparisons also reject NaN
+    if not 0.0 < cfg.T < math.inf:
+        raise ConfigError(f"T must be positive and finite, got {cfg.T}")
+    if not 0.0 <= cfg.dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {cfg.dt}")
+    dt = cfg.dt or resolve_dt(cfg.n, cfg.T)
+    steps = cfg.T / dt  # overflows to inf when dt is tiny against T
+    m = round(steps) if steps < math.inf else 0
     if m < 1 or abs(m * dt - cfg.T) > 1e-9 * max(cfg.T, dt):
         raise ConfigError(f"T = {cfg.T} is not an integer multiple of dt = {dt}")
     if not 0.0 <= cfg.eps <= 1.0:
@@ -125,6 +128,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"n_paths must be at least 1, got {cfg.n_paths}")
     if cfg.base_seed < 0:
         raise ConfigError(f"base_seed must be nonnegative, got {cfg.base_seed}")
+    if cfg.base_seed >= 1 << 64:
+        # noise keys and snapshot headers hold 64 bits; a larger seed would
+        # silently replay the noise of base_seed mod 2^64
+        raise ConfigError(f"base_seed must be below 2^64, got {cfg.base_seed}")
     if cfg.record_stride < 1:
         raise ConfigError(f"record_stride must be at least 1, got {cfg.record_stride}")
     if not cfg.output_dir:
@@ -134,7 +141,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
         to_model_form(cfg)
     except ValueError as e:
         raise ConfigError(str(e))
-    return cfg
+    return replace(cfg, dt=dt, scheme=scheme)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -157,15 +164,7 @@ def parse_config(text: str) -> RunConfig:
             values[key] = _parse_float(key, raw)
         else:
             values[key] = raw
-    cfg = RunConfig(**values)
-    if not cfg.dt and cfg.n >= 8 and cfg.T > 0.0:
-        cfg = replace(cfg, dt=resolve_dt(cfg.n, cfg.T))
-    if not cfg.scheme:
-        cfg = replace(
-            cfg,
-            scheme="heun_strat" if cfg.form == "stratonovich_mcf" else "em_imex",
-        )
-    return _validate(cfg)
+    return _validate(RunConfig(**values))
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -43,7 +43,6 @@ __all__ = [
     "det_dw",
     "gauss_bonnet_residual",
     "h_profile",
-    "profile_divergence_residual",
     "cofactor_flux_residual",
 ]
 
@@ -94,24 +93,24 @@ class GeometryArrays(NamedTuple):
 
 def _geometry_arrays(values: np.ndarray, method: DiffMethod, with_dw: bool) -> GeometryArrays:
     n = values.shape[-1]
-    if method is DiffMethod.SPECTRAL:
+    spectral = method is DiffMethod.SPECTRAL
+    if spectral:
         ws = get_workspace(n)
         g1, g2, a11, a12, a22 = grad_hess_spectral_hat(ws.forward(values), ws)
-        hvals = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-        w1 = g1 / hvals
-        w2 = g2 / hvals
+    else:
+        h = 1.0 / n
+        g1, g2 = grad_central2(values, h)
+        a11, a12, a22 = hess_central2(values, h)
+    hvals = np.sqrt(1.0 + g1 * g1 + g2 * g2)
+    w1 = g1 / hvals
+    w2 = g2 / hvals
+    if spectral:
         w1h, w2h = ws.forward(np.stack([w1, w2]))
         parts = [ws.ik1 * w1h + ws.ik2 * w2h]
         if with_dw:
             parts += [ws.ik1 * w1h, ws.ik2 * w1h, ws.ik1 * w2h, ws.ik2 * w2h]
         vvals, *dw = ws.inverse(np.stack(parts))
     else:
-        h = 1.0 / n
-        g1, g2 = grad_central2(values, h)
-        a11, a12, a22 = hess_central2(values, h)
-        hvals = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-        w1 = g1 / hvals
-        w2 = g2 / hvals
         vvals = div_central2(w1, w2, h)
         dw = [*grad_central2(w1, h), *grad_central2(w2, h)] if with_dw else []
     return GeometryArrays(g1, g2, hvals, w1, w2, vvals, a11, a12, a22, *dw)
@@ -208,37 +207,11 @@ def h_profile(z1: np.ndarray, z2: np.ndarray):
     if np.any(s >= 1.0):
         raise ValueError("h_profile needs |z| < 1")
     small = s < _H_PROFILE_TAYLOR_CUT**2
-    coef = np.empty_like(s)
     ssafe = np.where(small, 1.0, s)
     coef = (1.0 - np.sqrt(1.0 - s)) / (2.0 * ssafe)
     taylor = 0.25 + s / 16.0 + s * s / 32.0
     coef = np.where(small, taylor, coef)
     return coef * z1, coef * z2
-
-
-def profile_divergence_residual(r_max: float, m: int = 2001) -> float:
-    """Finite-difference check of div 2h(z) = (1 - |z|^2)^{-1/2} on |z| <= r_max.
-
-    The doubled profile is radial, 2h(z) = g(r) z/r with g(r) = 2 r coef(r^2),
-    so its planar divergence is g'(r) + g(r)/r. g' is taken by central
-    differences on a uniform radial grid of m points, and the returned value
-    is the max-norm mismatch against (1 - r^2)^{-1/2}, which shrinks at
-    second order in the grid spacing.
-    """
-    if not 0.0 < r_max < 1.0:
-        raise ValueError("profile_divergence_residual needs 0 < r_max < 1")
-    if m < 16:
-        raise ValueError("profile_divergence_residual needs m >= 16")
-    r = np.linspace(r_max / m, r_max, m)
-    dr = r[1] - r[0]
-    g1, _ = h_profile(r, np.zeros_like(r))
-    g = 2.0 * g1
-    dg = np.empty_like(g)
-    dg[1:-1] = (g[2:] - g[:-2]) / (2.0 * dr)
-    dg[0] = dg[1]
-    dg[-1] = dg[-2]
-    resid = dg + g / r - (1.0 - r * r) ** -0.5
-    return float(np.max(np.abs(resid[1:-1])))
 
 
 def cofactor_flux_residual(b: GeometryBundle) -> float:

@@ -30,12 +30,8 @@ __all__ = [
     "divergence",
     "laplacian",
     "hessian",
-    "implicit_solve",
-    "apply_linear",
     "integrate",
-    "inner",
     "l2_norm_sq",
-    "linf_norm",
 ]
 
 
@@ -85,11 +81,6 @@ class ScalarField:
     def constant(cls, grid: GridSpec, c: float) -> "ScalarField":
         return cls(grid, np.full((grid.n, grid.n), float(c)))
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, f) -> "ScalarField":
-        x1, x2 = grid.nodes()
-        return cls(grid, np.asarray(f(x1, x2), dtype=np.float64))
-
 
 @dataclass
 class VectorField:
@@ -115,16 +106,6 @@ class SymTensorField:
         self.a11 = _as_values(self.a11, self.grid.n)
         self.a12 = _as_values(self.a12, self.grid.n)
         self.a22 = _as_values(self.a22, self.grid.n)
-
-    def linf(self) -> float:
-        """Largest entry magnitude over the grid (off-diagonals included)."""
-        return float(
-            max(
-                np.max(np.abs(self.a11)),
-                np.max(np.abs(self.a12)),
-                np.max(np.abs(self.a22)),
-            )
-        )
 
 
 class SpectralWorkspace:
@@ -305,48 +286,10 @@ def hessian(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> SymTens
     return SymTensorField(u.grid, a11, a12, a22)
 
 
-def implicit_solve(
-    rhs: ScalarField, dt: float, eps: float, eta: float, big_k: int
-) -> ScalarField:
-    """Solve (Id - dt * A) u = rhs with A = (1 + eps) Delta - eta Delta^(2K).
-
-    The solve is diagonal in Fourier space. The symbol of A is nonpositive
-    whenever 1 + eps >= 0 and eta >= 0, so the solve contracts every nonzero
-    mode and passes the mean through unchanged. ``eps`` may be negative (down
-    to -1), which scales the Laplacian down, e.g. to Delta/2 at eps = -1/2.
-    """
-    if dt <= 0.0:
-        raise ValueError("implicit_solve needs dt > 0")
-    if eps <= -1.0:
-        raise ValueError("implicit_solve needs 1 + eps > 0")
-    if eta < 0.0:
-        raise ValueError("implicit_solve needs eta >= 0")
-    if big_k < 1 or big_k != int(big_k):
-        raise ValueError("implicit_solve needs integer big_k >= 1")
-    _require_finite(rhs.values, "implicit_solve rhs")
-    ws = get_workspace(rhs.grid.n)
-    denom = 1.0 - dt * ws.linear_sym(1.0 + eps, eta, big_k)
-    return ScalarField(rhs.grid, ws.inverse(ws.forward(rhs.values) / denom))
-
-
-def apply_linear(u: ScalarField, eps: float, eta: float, big_k: int) -> ScalarField:
-    """Forward application of A = (1 + eps) Delta - eta Delta^(2K)."""
-    ws = get_workspace(u.grid.n)
-    sym = ws.linear_sym(1.0 + eps, eta, big_k)
-    return ScalarField(u.grid, ws.inverse(sym * ws.forward(u.values)))
-
-
 def integrate(u: ScalarField) -> float:
     """h^2 * sum of node values; exact for trig modes below Nyquist."""
     h = u.grid.h
     return float(h * h * np.sum(u.values))
-
-
-def inner(u: ScalarField, v: ScalarField) -> float:
-    if u.grid.n != v.grid.n:
-        raise ValueError("inner product needs matching grids")
-    h = u.grid.h
-    return float(h * h * np.sum(u.values * v.values))
 
 
 def l2_norm_sq(u) -> float:
@@ -356,7 +299,3 @@ def l2_norm_sq(u) -> float:
         return float(h * h * (np.sum(u.x1 * u.x1) + np.sum(u.x2 * u.x2)))
     h = u.grid.h
     return float(h * h * np.sum(u.values * u.values))
-
-
-def linf_norm(u: ScalarField) -> float:
-    return float(np.max(np.abs(u.values)))

@@ -46,7 +46,6 @@ __all__ = [
     "EtaSweepReport",
     "EpsilonSweepReport",
     "TruncationReport",
-    "ConvergenceReport",
     "make_stepper",
     "run_path",
     "run_paths",
@@ -54,8 +53,6 @@ __all__ = [
     "sweep_eta",
     "sweep_epsilon",
     "sweep_R",
-    "self_convergence_dt",
-    "self_convergence_resolution",
 ]
 
 SCHEMES = ("em_imex", "heun_strat")
@@ -81,7 +78,6 @@ class ModelConfig:
     noise_off: bool = False
     martingale_steps: tuple[int, ...] = ()
     stop_at_tau_r: bool = False
-    keep_audits: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -140,7 +136,6 @@ class PathResult:
     tau_r_triggered: bool = False
     tau_r_time: float | None = None
     martingale_samples: list[MartingaleSample] = field(default_factory=list)
-    audits: list | None = None
 
 
 def run_path(
@@ -218,7 +213,6 @@ class _PathLog:
     """What one path has recorded while its row is in a batch."""
 
     seed: int | None
-    audits: list | None
     records: list[EnergyRecord] = field(default_factory=list)
     record_steps: list[int] = field(default_factory=list)
     hv_mass: list[float] = field(default_factory=list)
@@ -241,7 +235,6 @@ class _PathLog:
             tau_r_triggered=self.tau_r_time is not None,
             tau_r_time=self.tau_r_time,
             martingale_samples=self.samples,
-            audits=self.audits,
             **blowup,
         )
 
@@ -266,7 +259,7 @@ def _run_batch(
     end_step = cfg.n_steps if end_step is None else end_step
     trunc = cfg.form.kind is FormKind.REGULARIZED_TRUNCATED
     r_half = 0.5 * cfg.form.r_trunc
-    logs = [_PathLog(nz.seed, [] if cfg.keep_audits else None) for nz in noises]
+    logs = [_PathLog(nz.seed) for nz in noises]
     results: list[PathResult | None] = [None] * len(noises)
     paths = np.arange(len(noises))  # path index of each batch row
     tau_hit = np.zeros(len(noises), dtype=bool)
@@ -333,9 +326,6 @@ def _run_batch(
             if sample is not None:
                 for r, p in enumerate(paths):
                     logs[p].samples.append(sample.row(r))
-        if cfg.keep_audits:
-            for r, p in enumerate(paths):
-                logs[p].audits.append(audit.row(r))
         if batch.step % cfg.record_stride == 0 or batch.step == end_step:
             take_record()
         if (
@@ -433,17 +423,25 @@ def run_ensemble(
 # ---------------------------------------------------------------------------
 # parameter sweeps (common random numbers along the swept axis)
 
-# the axes with a runner: sweep_eta, sweep_epsilon and sweep_R
-SWEEP_AXES = ("eta", "epsilon", "R")
+# sweep axis -> the ModelForm field its values replace
+SWEEP_FIELDS = {"eta": "eta", "epsilon": "eps", "R": "r_trunc"}
+SWEEP_AXES = tuple(SWEEP_FIELDS)
 
 
 @dataclass(frozen=True)
 class SweepPlan:
+    """One sweep axis and its values; validated on construction.
+
+    ``configs`` holds one config per value, so an out-of-range value fails
+    here, before any ensemble runs.
+    """
+
     axis: str
     values: tuple
     base_config: ModelConfig
     n_paths: int
     base_seed: int
+    configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -455,21 +453,32 @@ class SweepPlan:
         down = all(b < a for a, b in zip(vals, vals[1:]))
         if not (up or down):
             raise ValueError("sweep values must be strictly monotone")
+        if self.axis == "R" and not up:
+            raise ValueError("R sweeps must increase")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        base = self.base_config
+        name = SWEEP_FIELDS[self.axis]
+        configs = tuple(replace(base, form=replace(base.form, **{name: v})) for v in vals)
+        object.__setattr__(self, "configs", configs)
 
 
-def _mean_successive_l2_diffs(
-    terminal_sets: Sequence[Sequence[ScalarField]],
-) -> np.ndarray:
+def _run_sweep(plan: SweepPlan, u0: ScalarField, axis: str) -> list[EnsembleReport]:
+    """One ensemble per sweep value, every one on the plan's path seeds."""
+    if plan.axis != axis:
+        raise ValueError(f"plan axis must be {axis!r}")
+    return [run_ensemble(cfg, u0, plan.n_paths, plan.base_seed) for cfg in plan.configs]
+
+
+def _mean_successive_l2_diffs(reports: Sequence[EnsembleReport]) -> np.ndarray:
     """Mean over paths of ||u_j - u_{j+1}||_L2 for consecutive sweep values."""
     out = []
-    for a_set, b_set in zip(terminal_sets, terminal_sets[1:]):
+    for ra, rb in zip(reports, reports[1:]):
         diffs = [
             np.sqrt(
-                l2_norm_sq(ScalarField(a.grid, a.values - b.values))
+                l2_norm_sq(ScalarField(a.terminal.grid, a.terminal.values - b.terminal.values))
             )
-            for a, b in zip(a_set, b_set)
+            for a, b in zip(ra.results, rb.results)
         ]
         out.append(float(np.mean(diffs)))
     return np.array(out)
@@ -485,16 +494,8 @@ class EtaSweepReport:
 
 def sweep_eta(plan: SweepPlan, u0: ScalarField) -> EtaSweepReport:
     """Shared-noise sweep of the polyharmonic coefficient toward 0."""
-    if plan.axis != "eta":
-        raise ValueError("plan axis must be 'eta'")
-    reports = []
-    terminals = []
-    for eta in plan.values:
-        cfg = replace(plan.base_config, form=replace(plan.base_config.form, eta=eta))
-        rep = run_ensemble(cfg, u0, plan.n_paths, plan.base_seed)
-        reports.append(rep)
-        terminals.append([r.terminal for r in rep.results])
-    diffs = _mean_successive_l2_diffs(terminals)
+    reports = _run_sweep(plan, u0, "eta")
+    diffs = _mean_successive_l2_diffs(reports)
     cauchy = bool(np.all(np.diff(diffs) < 0.0))
     return EtaSweepReport(etas=tuple(plan.values), mean_diffs=diffs, cauchy=cauchy, reports=reports)
 
@@ -536,17 +537,10 @@ def sweep_epsilon(plan: SweepPlan, u0: ScalarField) -> EpsilonSweepReport:
     identity per eps, with the dissipation and the eps share integrated by
     the same trapezoid over the recording grid.
     """
-    if plan.axis != "epsilon":
-        raise ValueError("plan axis must be 'epsilon'")
-    reports = []
-    terminals = []
+    reports = _run_sweep(plan, u0, "epsilon")
     budgets = []
     margins = []
-    for eps in plan.values:
-        cfg = replace(plan.base_config, form=replace(plan.base_config.form, eps=eps))
-        rep = run_ensemble(cfg, u0, plan.n_paths, plan.base_seed)
-        reports.append(rep)
-        terminals.append([r.terminal for r in rep.results])
+    for eps, rep in zip(plan.values, reports):
         kept = rep.uncensored()
         budgets.append(
             area_inequality_check([r.records for r in kept], [r.v_lap for r in kept], eps)
@@ -555,7 +549,7 @@ def sweep_epsilon(plan: SweepPlan, u0: ScalarField) -> EpsilonSweepReport:
         gap = ge[:, -1] - ge[:, 0]
         se = gap.std(ddof=1) / np.sqrt(len(gap)) if len(gap) > 1 else 0.0
         margins.append(float(gap.mean() - 3.0 * se))
-    diffs = _mean_successive_l2_diffs(terminals)
+    diffs = _mean_successive_l2_diffs(reports)
     margins = np.array(margins)
     area0 = np.array([b.area0_mean for b in budgets])
 
@@ -592,22 +586,10 @@ class TruncationReport:
 
 def sweep_R(plan: SweepPlan, u0: ScalarField) -> TruncationReport:
     """Increasing truncation radii: triggers must die out and become inert."""
-    if plan.axis != "R":
-        raise ValueError("plan axis must be 'R'")
-    if any(b <= a for a, b in zip(plan.values, plan.values[1:])):
-        raise ValueError("R sweeps must increase")
-    reports = []
-    fractions = []
-    for r in plan.values:
-        cfg = replace(
-            plan.base_config, form=replace(plan.base_config.form, r_trunc=r)
-        )
-        rep = run_ensemble(cfg, u0, plan.n_paths, plan.base_seed)
-        reports.append(rep)
-        fractions.append(
-            sum(1 for p in rep.results if p.tau_r_triggered) / plan.n_paths
-        )
-    fractions = np.array(fractions)
+    reports = _run_sweep(plan, u0, "R")
+    fractions = np.array([
+        sum(1 for p in rep.results if p.tau_r_triggered) / plan.n_paths for rep in reports
+    ])
     identical = True
     for ra, rb in zip(reports, reports[1:]):
         for pa, pb in zip(ra.results, rb.results):
@@ -623,72 +605,3 @@ def sweep_R(plan: SweepPlan, u0: ScalarField) -> TruncationReport:
         untriggered_bit_identical=identical,
         reports=reports,
     )
-
-
-@dataclass
-class ConvergenceReport:
-    labels: tuple
-    diffs: np.ndarray
-    orders: np.ndarray
-
-    @property
-    def observed_order(self) -> float:
-        return float(np.min(self.orders)) if self.orders.size else float("nan")
-
-
-def self_convergence_dt(
-    cfg: ModelConfig, u0: ScalarField, seed: int, n_levels: int = 3
-) -> ConvergenceReport:
-    """Strong dt-refinement study under one bridge-refined Brownian path."""
-    if n_levels < 2:
-        raise ValueError("need at least two refinement levels")
-    noise = NoisePath.generate(seed, cfg.dt, cfg.n_steps)
-    terminals = []
-    dts = []
-    for lev in range(n_levels + 1):
-        lcfg = replace(cfg, dt=noise.dt, n_steps=noise.n_steps)
-        res = run_path(lcfg, u0, noise=noise)
-        terminals.append(res.terminal)
-        dts.append(noise.dt)
-        if lev < n_levels:
-            noise = noise.refine()
-    diffs = np.array(
-        [
-            np.sqrt(l2_norm_sq(ScalarField(a.grid, a.values - b.values)))
-            for a, b in zip(terminals, terminals[1:])
-        ]
-    )
-    orders = np.log2(diffs[:-1] / diffs[1:]) if diffs.size > 1 else np.array([])
-    return ConvergenceReport(labels=tuple(dts), diffs=diffs, orders=orders)
-
-
-def self_convergence_resolution(
-    cfg: ModelConfig,
-    u0_builder: Callable[[GridSpec], ScalarField],
-    seed: int,
-    n_values: Sequence[int],
-) -> ConvergenceReport:
-    """Spatial refinement under the same scalar noise path.
-
-    The noise is spatially uniform, so one path drives every resolution; the
-    finer terminal field is restricted to the coarser grid (corner-anchored
-    nodes nest exactly) before differencing.
-    """
-    ns = list(n_values)
-    if len(ns) < 2 or any(b != 2 * a for a, b in zip(ns, ns[1:])):
-        raise ValueError("resolutions must double: n, 2n, 4n, ...")
-    noise = NoisePath.generate(seed, cfg.dt, cfg.n_steps)
-    terminals = []
-    for n in ns:
-        lcfg = replace(cfg, n=n)
-        res = run_path(lcfg, u0_builder(lcfg.grid), noise=noise)
-        terminals.append(res.terminal)
-    diffs = []
-    for coarse, fine in zip(terminals, terminals[1:]):
-        restricted = fine.values[::2, ::2]
-        diffs.append(
-            np.sqrt(l2_norm_sq(ScalarField(coarse.grid, restricted - coarse.values)))
-        )
-    diffs = np.array(diffs)
-    orders = np.log2(diffs[:-1] / diffs[1:]) if diffs.size > 1 else np.array([])
-    return ConvergenceReport(labels=tuple(ns), diffs=diffs, orders=orders)

@@ -8,7 +8,7 @@ variation, gradient-energy and area inequalities) with explicit
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +31,6 @@ __all__ = [
     "AreaInequalityReport",
     "area_inequality_check",
     "kendall_tau",
-    "mass_evolution_residual",
-    "continuum_mass_residual",
-    "integrated_area_process",
     "DEFAULT_C_DT",
 ]
 
@@ -420,10 +417,6 @@ class AreaInequalityReport:
     closure_mean: float      # E [area(T) - area(0) + D + eps share]
     closure_se: float        # standard error of closure_mean
 
-    @property
-    def bounded(self) -> bool:
-        return np.isfinite(self.ratio)
-
 
 def area_inequality_check(
     records_per_path: Sequence[Sequence[EnergyRecord]],
@@ -483,55 +476,3 @@ def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float:
             s = np.sign(xs[j] - xs[i]) * np.sign(ys[j] - ys[i])
             conc += int(s)
     return 2.0 * conc / (n * (n - 1))
-
-
-# ---------------------------------------------------------------------------
-# mass bookkeeping
-
-def mass_evolution_residual(audits: Sequence[StepAudit]) -> np.ndarray:
-    """Per-step residual of the scheme-consistent spatial-mean identity.
-
-    r_j = mass_after - mass_before - drift_mass - noise_mass, with the drift
-    integral split exactly as the stepper applied it (the implicit part has
-    zero mean by its symbol). Rounding-level for a correct stepper.
-    """
-    return np.array([a.mass_residual for a in audits])
-
-
-def continuum_mass_residual(
-    records: Sequence[EnergyRecord],
-    hv_mass: Sequence[float],
-    w_at_records: Sequence[float],
-    drift_mean_coef: float = 0.5,
-) -> np.ndarray:
-    """Mass-evolution residual against the continuum identity.
-
-    Uses left-endpoint sums of c <H v, 1> dt + <H, 1> dW on the recording
-    grid, so the result is a genuine O(dt) discretization residual rather
-    than the scheme-exact bookkeeping. c defaults to 1/2: each Ito drift's
-    spatial mean reduces to <H v, 1>/2 because the Laplacian-type parts
-    integrate to zero and <w . D2u w, 1> = -<H v, 1>.
-    """
-    k = len(records)
-    if len(hv_mass) != k or len(w_at_records) != k:
-        raise ValueError("records, hv_mass, and w_at_records must align")
-    mass = np.array([r.mass for r in records])
-    area = np.array([r.area for r in records])
-    t = np.array([r.t for r in records])
-    hv = np.asarray(hv_mass, dtype=float)
-    w = np.asarray(w_at_records, dtype=float)
-    res = np.zeros(k)
-    acc = 0.0
-    for j in range(1, k):
-        acc += drift_mean_coef * hv[j - 1] * (t[j] - t[j - 1]) + area[j - 1] * (w[j] - w[j - 1])
-        res[j] = mass[j] - mass[0] - acc
-    return res
-
-
-def integrated_area_process(records: Sequence[EnergyRecord], theta: float = 0.5) -> np.ndarray:
-    """Cumulative trapezoid of area(t)^(1+theta) over the recording grid."""
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    t = np.array([r.t for r in records])
-    a = np.array([r.area for r in records]) ** (1.0 + theta)
-    return _cumtrapz(a, t)

@@ -124,12 +124,3 @@ class NoisePath:
             _fold(self._base, depth_left - 1),
             base=self._base,
         )
-
-    def truncated(self, n_steps: int) -> "NoisePath":
-        """First `n_steps` increments as a path (shared-noise sub-horizons)."""
-        if not 1 <= n_steps <= self.n_steps:
-            raise ValueError("truncated length out of range")
-        base = self._base
-        if base is not None:
-            base = base[: n_steps << (REFINE_DEPTH - self.level)].copy()
-        return NoisePath(self.seed, self.dt, self.level, self.increments[:n_steps].copy(), base=base)

@@ -1,9 +1,9 @@
 """End-to-end CLI tests: exit codes, determinism, checkpoint/resume."""
-import zlib
+import re
 
-import numpy as np
 import pytest
 
+from smcflow import harness
 from smcflow.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from smcflow.snapshot import read_snapshot, snapshot_payload_crc
 
@@ -229,15 +229,34 @@ class TestSweepCommand:
         assert code == EXIT_VALIDATION
         assert "regularized" in capsys.readouterr().err
 
-    def test_bad_values_are_validation_errors(self, tmp_path, capsys):
-        text = BASE_CFG.replace("form = ito_mcf", "form = regularized\neps = 0.1")
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            pytest.param("eta", "a,b", "cannot parse sweep values", id="unparsable"),
+            pytest.param("eta", "0.1", "at least two values", id="single"),
+            pytest.param("eta", "0.1,0.1", "strictly monotone", id="repeated"),
+            pytest.param("eta", "0.2,nan", "strictly monotone", id="nan"),
+            pytest.param("R", "60,20", "R sweeps must increase", id="decreasing-R"),
+            pytest.param("epsilon", "0.4,1.5", r"eps in \(0, 1\]", id="epsilon-range"),
+            pytest.param("R", "0,20", "radius must be positive", id="R-range"),
+        ],
+    )
+    def test_bad_values_are_validation_errors(
+        self, tmp_path, capsys, monkeypatch, axis, values, message
+    ):
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("an ensemble ran before the values were checked")
+
+        monkeypatch.setattr(harness, "run_ensemble", no_ensemble)
+        text = BASE_CFG.replace("form = ito_mcf", "form = regularized_truncated\neps = 0.1")
         cfg = write_cfg(tmp_path, text)
-        code = main(
-            ["sweep", cfg, "--axis", "eta", "--values", "a,b",
-             "--output-dir", str(tmp_path / "s")]
-        )
+        out = tmp_path / "s"
+        code = main(["sweep", cfg, "--axis", axis, "--values", values, "--output-dir", str(out)])
         assert code == EXIT_VALIDATION
-        assert "cannot parse sweep values" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert re.search(message, err[0])
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -245,6 +264,7 @@ class TestVerifyCommand:
         assert main(["verify"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "all 12 checks passed" in out
+        assert "cofactor flux residual" in out
         assert "FAIL" not in out
 
 
@@ -253,6 +273,14 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, "n = 16\nwhatsit = 3\n")
         assert main(["run", cfg]) == EXIT_VALIDATION
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_is_validation_error(self, tmp_path, capsys):
+        # 2^64 would replay the noise of base_seed = 0 and fail at the snapshot
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("base_seed = 31", f"base_seed = {1 << 64}"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_VALIDATION
+        assert "base_seed must be below 2^64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.cfg")])

@@ -6,7 +6,6 @@ import pytest
 
 from smcflow.config import (
     ConfigError,
-    RunConfig,
     build_initial,
     config_from_file,
     n_steps_of,
@@ -93,7 +92,10 @@ class TestValidation:
             ("form = stratonovich_mcf\nscheme = em_imex", "cannot integrate form"),
             ("scheme = heun_strat", "cannot integrate form"),
             ("dt = -0.001", "dt must be positive"),
+            ("dt = nan", "dt must be positive and finite"),
             ("T = 0.0", "T must be positive"),
+            ("T = nan", "T must be positive and finite"),
+            ("T = inf", "T must be positive and finite"),
             ("dt = 0.0003\nT = 0.1", "not an integer multiple"),
             ("eps = 1.5", r"eps must lie in \[0, 1\]"),
             ("eta = -0.2", r"eta must lie in \[0, 1\]"),
@@ -103,6 +105,7 @@ class TestValidation:
             ("theta = -1.0", "unknown config key 'theta'"),
             ("n_paths = 0", "n_paths must be at least 1"),
             ("base_seed = -1", "base_seed must be nonnegative"),
+            ("base_seed = 18446744073709551616", r"base_seed must be below 2\^64"),
             ("record_stride = 0", "record_stride must be at least 1"),
             ("output_dir = ", "output_dir must be nonempty"),
         ],

@@ -14,7 +14,6 @@ from smcflow.geometry import (
     geometry_bundle,
     h_profile,
     mcf_operator,
-    profile_divergence_residual,
     strat_correction,
 )
 from smcflow.grid import DiffMethod, GridSpec, ScalarField, laplacian
@@ -193,20 +192,6 @@ class TestHProfile:
         dg = np.gradient(g, r[1] - r[0])
         target = 0.5 * (1.0 - r * r) ** -0.5
         assert np.max(np.abs((dg + g / r)[5:-5] - target[5:-5])) <= 1e-5
-
-
-class TestProfileDivergence:
-    def test_residual_second_order(self):
-        r1 = profile_divergence_residual(0.9, 501)
-        r2 = profile_divergence_residual(0.9, 2001)
-        assert r2 <= 1e-5
-        assert math.log2(r1 / r2) / 2.0 > 1.8
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError, match="r_max"):
-            profile_divergence_residual(1.0)
-        with pytest.raises(ValueError, match="m >= 16"):
-            profile_divergence_residual(0.5, m=4)
 
 
 class TestCofactorFlux:

@@ -1,4 +1,4 @@
-"""Tests for path runs, ensembles, sweeps, and convergence studies."""
+"""Tests for path runs, ensembles and sweeps."""
 import math
 
 import numpy as np
@@ -6,7 +6,6 @@ import pytest
 
 from smcflow.dynamics import FormKind, ModelForm, NonFiniteFieldError, PathState
 from smcflow import harness
-from smcflow.geometry import geometry_bundle
 from smcflow.grid import GridSpec, ScalarField
 from smcflow.harness import (
     ModelConfig,
@@ -15,12 +14,11 @@ from smcflow.harness import (
     run_ensemble,
     run_path,
     run_paths,
-    self_convergence_dt,
-    self_convergence_resolution,
     sweep_R,
     sweep_epsilon,
     sweep_eta,
 )
+from smcflow.monitors import record
 from smcflow.noise import NoisePath, path_seed
 
 TWO_PI = 2.0 * math.pi
@@ -181,7 +179,7 @@ class TestRunPath:
         x1, _ = grid.nodes()
         steep = ScalarField(grid, 0.5 * np.sin(TWO_PI * x1))
         # sup |D^2 u| = 2 pi^2 ~ 19.74 >= 15 = R/2 already at the start
-        assert geometry_bundle(steep).hess.linf() == pytest.approx(2.0 * math.pi**2, rel=1e-10)
+        assert record(steep, 0.0).hess_linf == pytest.approx(2.0 * math.pi**2, rel=1e-10)
         cfg = ito_config(
             form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=30.0),
             n_steps=10, stop_at_tau_r=True,
@@ -204,9 +202,8 @@ class TestRunPath:
         assert res.steps_done == 10
 
     def test_audits_and_martingale_samples(self):
-        cfg = ito_config(n_steps=20, keep_audits=True, martingale_steps=(10, 20))
+        cfg = ito_config(n_steps=20, martingale_steps=(10, 20))
         res = run_path(cfg, smooth_u0(cfg.grid), seed=5)
-        assert len(res.audits) == 20
         assert [s.step for s in res.martingale_samples] == [10, 20]
 
 
@@ -418,6 +415,11 @@ class TestSweepPlan:
         with pytest.raises(ValueError, match="n_paths"):
             SweepPlan(axis="eta", values=(1.0, 0.5), base_config=self.base(),
                       n_paths=0, base_seed=0)
+        # every value's config is built with the plan, before any run
+        reg = ito_config(form=ModelForm(FormKind.REGULARIZED, eps=0.4))
+        with pytest.raises(ValueError, match=r"eps in \(0, 1\]"):
+            SweepPlan(axis="epsilon", values=(0.4, 1.5), base_config=reg,
+                      n_paths=2, base_seed=0)
 
 
 class TestSweeps:
@@ -494,45 +496,9 @@ class TestSweeps:
             form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=20.0),
             scheme="em_imex", n=16, dt=1e-4, n_steps=10,
         )
-        plan = SweepPlan(axis="R", values=(60.0, 20.0), base_config=base,
-                         n_paths=2, base_seed=0)
         with pytest.raises(ValueError, match="must increase"):
-            sweep_R(plan, ScalarField.constant(GridSpec(16), 0.0))
-
-
-class TestConvergenceStudies:
-    def test_dt_refinement_gaps_shrink(self):
-        cfg = ito_config(n_steps=20, record_stride=20)
-        rep = self_convergence_dt(cfg, smooth_u0(cfg.grid), seed=99, n_levels=3)
-        assert rep.labels == (1e-3, 5e-4, 2.5e-4, 1.25e-4)
-        assert rep.diffs.shape == (3,)
-        assert np.all(np.diff(rep.diffs) < 0.0)
-        # a single path is noisy; the ensemble-level order lives in the
-        # acceptance suite, here we only require a clearly positive trend
-        assert rep.observed_order > 0.2
-
-    def test_dt_level_validation(self):
-        cfg = ito_config()
-        with pytest.raises(ValueError, match="two refinement levels"):
-            self_convergence_dt(cfg, ScalarField.constant(cfg.grid, 0.0), 0, n_levels=1)
-
-    def test_resolution_refinement(self):
-        cfg = ito_config(n_steps=10, record_stride=10)
-
-        def build(grid):
-            return smooth_u0(grid)
-
-        rep = self_convergence_resolution(cfg, build, seed=99, n_values=(16, 32, 64))
-        assert rep.labels == (16, 32, 64)
-        assert rep.diffs.shape == (2,)
-        assert rep.diffs[1] < rep.diffs[0]
-
-    def test_resolution_doubling_validation(self):
-        cfg = ito_config()
-        with pytest.raises(ValueError, match="must double"):
-            self_convergence_resolution(
-                cfg, lambda g: ScalarField.constant(g, 0.0), 0, n_values=(16, 48)
-            )
+            SweepPlan(axis="R", values=(60.0, 20.0), base_config=base,
+                      n_paths=2, base_seed=0)
 
 
 if __name__ == "__main__":

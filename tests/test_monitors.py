@@ -13,12 +13,9 @@ from smcflow.monitors import (
     EnergyRecord,
     MartingaleTracker,
     area_inequality_check,
-    continuum_mass_residual,
     gradient_inequality_check,
-    integrated_area_process,
     kendall_tau,
     martingale_test,
-    mass_evolution_residual,
     record,
     record_path_sample,
 )
@@ -271,7 +268,6 @@ class TestAreaInequality:
         assert rep.area0_mean == pytest.approx(1.1)
         assert rep.ratio == pytest.approx((1.5 + 0.225) / 1.1)
         assert rep.excess == pytest.approx(rep.ratio - 1.0)
-        assert rep.bounded
 
     def test_flat_paths_have_unit_ratio(self):
         a = [[make_record(0.0), make_record(1.0)] for _ in range(3)]
@@ -319,73 +315,9 @@ class TestKendallTau:
 class TestMassBookkeeping:
     def test_scheme_exact_residuals(self):
         _, _, audits = run_flat_tracked(3, 20, [20])
-        res = mass_evolution_residual(audits)
+        res = np.array([a.mass_residual for a in audits])
         assert res.shape == (20,)
         assert np.max(np.abs(res)) <= 1e-14
-
-    def test_continuum_residual_flat_path(self):
-        # flat graphs keep area = 1 and zero drift, so the left-endpoint sum
-        # telescopes and the residual is pure rounding
-        grid = GridSpec(16)
-        noise = NoisePath.generate(5, 1e-3, 50)
-        stepper = EmImexStepper(grid, ModelForm(FormKind.ITO_MCF), noise.dt)
-        state = PathState(u=ScalarField.constant(grid, -0.4), step=0, noise=noise)
-        recs, hvs, ws = [], [], []
-
-        def push(s):
-            rec, hv, _ = record_path_sample(s.u, s.t)
-            recs.append(rec)
-            hvs.append(hv)
-            ws.append(s.noise.w[s.step])
-
-        push(state)
-        for m in range(50):
-            state, _ = stepper.step(state)
-            if (m + 1) % 5 == 0:
-                push(state)
-        res = continuum_mass_residual(recs, hvs, ws)
-        assert res[0] == 0.0
-        assert np.max(np.abs(res)) <= 1e-13
-
-    def test_continuum_residual_smooth_path_small(self):
-        grid = GridSpec(16)
-        x1, x2 = grid.nodes()
-        u0 = ScalarField(grid, 0.3 * np.sin(TWO_PI * x1) + 0.2 * np.cos(TWO_PI * x2))
-        noise = NoisePath.generate(5, 1e-4, 200)
-        stepper = EmImexStepper(grid, ModelForm(FormKind.ITO_MCF), noise.dt)
-        state = PathState(u=u0, step=0, noise=noise)
-        recs, hvs, ws = [], [], []
-        rec, hv, _ = record_path_sample(state.u, 0.0)
-        recs.append(rec), hvs.append(hv), ws.append(0.0)
-        for m in range(200):
-            state, _ = stepper.step(state)
-            if (m + 1) % 10 == 0:
-                rec, hv, _ = record_path_sample(state.u, state.t)
-                recs.append(rec), hvs.append(hv), ws.append(noise.w[state.step])
-        res = continuum_mass_residual(recs, hvs, ws)
-        assert res[0] == 0.0
-        assert np.max(np.abs(res)) <= 1e-2
-
-    def test_continuum_residual_validation(self):
-        recs = [make_record(0.0)]
-        with pytest.raises(ValueError, match="align"):
-            continuum_mass_residual(recs, [0.0, 0.0], [0.0])
-
-
-class TestIntegratedArea:
-    def test_flat_area_gives_time(self):
-        recs = [make_record(t) for t in (0.0, 0.5, 1.0, 2.0)]
-        out = integrated_area_process(recs, theta=0.5)
-        np.testing.assert_allclose(out, [0.0, 0.5, 1.0, 2.0])
-
-    def test_theta_validation(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            integrated_area_process([make_record(0.0)], theta=-0.1)
-
-    def test_power_applied(self):
-        recs = [make_record(0.0, area=4.0), make_record(1.0, area=4.0)]
-        out = integrated_area_process(recs, theta=0.5)
-        assert out[-1] == pytest.approx(8.0)  # 4^1.5
 
 
 def test_allowance_coefficient_pinned():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from smcflow.grid import GridSpec, ScalarField
-from smcflow.monitors import EnergyRecord, record
+from smcflow.monitors import record
 from smcflow.snapshot import (
     CSV_HEADER,
     SNAPSHOT_MAGIC,

@@ -1,15 +1,18 @@
-"""The benchmark's span tracer still finds every program name it wraps.
+"""Checks on the code itself rather than on its results.
 
 ``perfbench/spans.py`` looks its targets up by name in the smcflow modules
 and classes; a rename or deletion there would otherwise surface only in the
-minutes-long ``pytest perfbench`` run.
+minutes-long ``pytest perfbench`` run. An import nothing references is
+caught by an AST scan of the package and the tests.
 """
+import ast
 import importlib.util
 from pathlib import Path
 
 from smcflow.dynamics import EmImexStepper, HeunStratStepper
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -31,3 +34,39 @@ def test_tracer_installs_and_uninstalls():
     # the benchmark's first-step hook reads each stepper's own step
     assert "step" in EmImexStepper.__dict__
     assert "step" in HeunStratStepper.__dict__
+
+
+def unused_imports(path):
+    """Imported names that the module never references, as "file:line: name".
+
+    A name counts as used when it appears as an identifier or in __all__;
+    an import line marked "# noqa: F401" is exempt.
+    """
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name in used or name in exported or "# noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            found.append(f"{path.relative_to(ROOT)}:{alias.lineno}: {name}")
+    return found
+
+
+def test_no_unused_imports():
+    files = sorted([*(ROOT / "src" / "smcflow").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    assert files
+    assert [hit for path in files for hit in unused_imports(path)] == []
