@@ -51,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _step_count(text: str) -> int:
+    """argparse type for step-count flags: an integer N >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="smcflow", description="stochastic mean curvature flow laboratory")
     sub = p.add_subparsers(dest="command", required=True)
@@ -60,13 +71,13 @@ def _build_parser() -> _Parser:
     run.add_argument("--output-dir", default=None, help="override config output_dir")
     run.add_argument(
         "--stop-after-steps",
-        type=int,
+        type=_step_count,
         default=None,
         help="stop early after this many steps (writes checkpoint.snap)",
     )
     run.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_step_count,
         default=None,
         help="write checkpoint.snap every N steps",
     )
@@ -146,9 +157,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_resume(args) -> int:
     cfg = config_from_file(args.config)
-    out = _outdir(cfg, args.output_dir)
     mc = to_model_config(cfg)
     field, t, seed, step = read_snapshot(args.checkpoint)
+    if seed != cfg.base_seed:
+        raise ConfigError(
+            f"checkpoint seed {seed} does not match config base_seed {cfg.base_seed}"
+        )
     if field.grid.n != cfg.n:
         raise ConfigError(
             f"checkpoint resolution n={field.grid.n} does not match config n={cfg.n}"
@@ -161,6 +175,7 @@ def _cmd_resume(args) -> int:
             f"checkpoint time t = {t!r} at step {step} does not match the config's "
             f"step * dt = {step * cfg.dt!r} (dt = {cfg.dt!r}); was dt changed?"
         )
+    out = _outdir(cfg, args.output_dir)
     noise = NoisePath.generate(seed, cfg.dt, total)
     result = run_path(mc, field, noise=noise, start_step=int(step))
     if result.censored:

@@ -253,6 +253,9 @@ def parse_initial_spec(spec: str):
             decay = float(parts[1])
         except ValueError:
             raise ConfigError(f"random_smooth needs 'seed,decay', got {arg!r}")
+        if not 0 <= seed < 1 << 64:
+            # the field's key holds 64 bits; another seed would alias one inside
+            raise ConfigError(f"random_smooth seed must lie in [0, 2^64), got {seed}")
         if decay < 3.0:
             raise ConfigError(f"random_smooth decay must be >= 3, got {decay}")
         return "random_smooth", (seed, decay)

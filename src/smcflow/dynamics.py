@@ -270,11 +270,11 @@ class PathBatch:
 
 @dataclass
 class StepAudit:
-    """Per-step bookkeeping emitted by the steppers.
+    """Per-step mass bookkeeping emitted by the steppers.
 
     Mass entries are spatial integrals; `drift_mass` excludes the implicit
     linear part, whose integral vanishes identically (zero symbol at k = 0).
-    A batch step fills every entry with one value (or field) per row.
+    A batch step fills every entry with one value per row.
     """
 
     dw: float
@@ -284,23 +284,15 @@ class StepAudit:
     noise_mass: float
     g_mass: float = 0.0
     hess_linf: float | None = None
-    g: np.ndarray | None = None
-    n_explicit: np.ndarray | None = None
-    u_plus: np.ndarray | None = None
-    u_plus_hat: np.ndarray | None = None
 
     @property
     def mass_residual(self) -> float:
         return self.mass_after - (self.mass_before + self.drift_mass + self.noise_mass)
 
     def row(self, i: int) -> "StepAudit":
-        """Row i of a batch audit, with per-row numbers as floats."""
-        def pick(x):
-            if x is None:
-                return None
-            return float(x[i]) if x.ndim == 1 else x[i]
-
-        return StepAudit(*(pick(getattr(self, f.name)) for f in fields(self)))
+        """Row i of a batch audit, as floats."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return StepAudit(*(None if x is None else float(x[i]) for x in values))
 
 
 def _check_finite(values: np.ndarray, step: int):
@@ -321,8 +313,24 @@ def _as_batch(state: PathState | PathBatch) -> PathBatch:
     return PathBatch(state.u.values[None], state.step, noise.increments[None], noise.dt)
 
 
-def _advanced(state, u_plus: np.ndarray, audit: StepAudit):
-    """The stepped state in the caller's form: a batch, or one path."""
+def _advanced(state, u, u_plus, dt, n_explicit, g, dw, hess_linf=None):
+    """The stepped state in the caller's form (a batch, or one path) and its audit.
+
+    ``n_explicit`` and ``g`` are the explicit drift and the noise coefficient
+    the step applied to the (P, n, n) batch ``u``; the implicit linear part
+    integrates to zero, so the mass bookkeeping needs nothing else.
+    """
+    inv_n2 = 1.0 / (u.shape[-1] ** 2)
+    g_mass = np.sum(g, axis=(1, 2)) * inv_n2
+    audit = StepAudit(
+        dw=dw,
+        mass_before=np.sum(u, axis=(1, 2)) * inv_n2,
+        mass_after=np.sum(u_plus, axis=(1, 2)) * inv_n2,
+        drift_mass=dt * np.sum(n_explicit, axis=(1, 2)) * inv_n2,
+        noise_mass=g_mass * dw,
+        g_mass=g_mass,
+        hess_linf=hess_linf,
+    )
     if isinstance(state, PathBatch):
         return PathBatch(u_plus, state.step + 1, state.increments, state.dt), audit
     new_state = replace(state, u=ScalarField(state.u.grid, u_plus[0]), step=state.step + 1)
@@ -352,7 +360,7 @@ class EmImexStepper:
         self.ws = get_workspace(grid.n)
         self.denom = 1.0 - dt * self.ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k)
 
-    def step(self, state, want_fields: bool = False):
+    def step(self, state):
         """Advance one PathState, or every row of a PathBatch, by one step.
 
         Returns the new state of the same kind and its StepAudit; a batch
@@ -362,34 +370,15 @@ class EmImexStepper:
         batch = _as_batch(state)
         u = batch.u
         n_expl, g, hess_linf = explicit_terms(ws.forward(u), self.form, ws)
-        inv_n2 = 1.0 / (self.grid.n**2)
-        g_mass = np.sum(g, axis=(1, 2)) * inv_n2
         if self.noise_off:
             dw = np.zeros(len(u))
             rhs = u + self.dt * n_expl
         else:
             dw = batch.increments[:, batch.step]
             rhs = u + self.dt * n_expl + g * dw[:, None, None]
-        rhs_hat = ws.forward(rhs)
-        u_plus_hat = rhs_hat / self.denom
-        u_plus = ws.inverse(u_plus_hat)
+        u_plus = ws.inverse(ws.forward(rhs) / self.denom)
         _check_finite(u_plus, batch.step + 1)
-
-        audit = StepAudit(
-            dw=dw,
-            mass_before=np.sum(u, axis=(1, 2)) * inv_n2,
-            mass_after=np.sum(u_plus, axis=(1, 2)) * inv_n2,
-            drift_mass=self.dt * np.sum(n_expl, axis=(1, 2)) * inv_n2,
-            noise_mass=g_mass * dw,
-            g_mass=g_mass,
-            hess_linf=hess_linf,
-        )
-        if want_fields:
-            audit.g = g
-            audit.n_explicit = n_expl
-            audit.u_plus = u_plus
-            audit.u_plus_hat = u_plus_hat
-        return _advanced(state, u_plus, audit)
+        return _advanced(state, u, u_plus, self.dt, n_expl, g, dw, hess_linf)
 
 
 class HeunStratStepper:
@@ -413,7 +402,7 @@ class HeunStratStepper:
         self.noise_off = noise_off
         self.ws = get_workspace(grid.n)
 
-    def step(self, state, want_fields: bool = False):
+    def step(self, state):
         """Advance one PathState, or every row of a PathBatch, by one step.
 
         A row failing in the predictor or the corrector is reported by
@@ -435,22 +424,7 @@ class HeunStratStepper:
         g_avg = 0.5 * (g0 + g1)
         u_plus = u + self.dt * drift_avg + g_avg * dw3
         _check_finite(u_plus, batch.step + 1)
-
-        inv_n2 = 1.0 / (self.grid.n**2)
-        g_mass = np.sum(g_avg, axis=(1, 2)) * inv_n2
-        audit = StepAudit(
-            dw=dw,
-            mass_before=np.sum(u, axis=(1, 2)) * inv_n2,
-            mass_after=np.sum(u_plus, axis=(1, 2)) * inv_n2,
-            drift_mass=self.dt * np.sum(drift_avg, axis=(1, 2)) * inv_n2,
-            noise_mass=g_mass * dw,
-            g_mass=g_mass,
-        )
-        if want_fields:
-            audit.g = g_avg
-            audit.n_explicit = drift_avg
-            audit.u_plus = u_plus
-        return _advanced(state, u_plus, audit)
+        return _advanced(state, u, u_plus, self.dt, drift_avg, g_avg, dw)
 
 
 # ---------------------------------------------------------------------------

@@ -62,15 +62,11 @@ class GeometryBundle:
     w: VectorField
     v: ScalarField
     hess: SymTensorField
-    # dw[i][j] = d w_i / d x_j, stored as four arrays; None unless requested
-    dw11: np.ndarray | None = None
-    dw12: np.ndarray | None = None
-    dw21: np.ndarray | None = None
-    dw22: np.ndarray | None = None
-
-    @property
-    def has_dw(self) -> bool:
-        return self.dw11 is not None
+    # dw[i][j] = d w_i / d x_j, stored as four arrays
+    dw11: np.ndarray
+    dw12: np.ndarray
+    dw21: np.ndarray
+    dw22: np.ndarray
 
 
 class GeometryArrays(NamedTuple):
@@ -85,13 +81,13 @@ class GeometryArrays(NamedTuple):
     a11: np.ndarray
     a12: np.ndarray
     a22: np.ndarray
-    dw11: np.ndarray | None = None
-    dw12: np.ndarray | None = None
-    dw21: np.ndarray | None = None
-    dw22: np.ndarray | None = None
+    dw11: np.ndarray
+    dw12: np.ndarray
+    dw21: np.ndarray
+    dw22: np.ndarray
 
 
-def _geometry_arrays(values: np.ndarray, method: DiffMethod, with_dw: bool) -> GeometryArrays:
+def _geometry_arrays(values: np.ndarray, method: DiffMethod) -> GeometryArrays:
     n = values.shape[-1]
     spectral = method is DiffMethod.SPECTRAL
     if spectral:
@@ -106,32 +102,27 @@ def _geometry_arrays(values: np.ndarray, method: DiffMethod, with_dw: bool) -> G
     w2 = g2 / hvals
     if spectral:
         w1h, w2h = ws.forward(np.stack([w1, w2]))
-        parts = [ws.ik1 * w1h + ws.ik2 * w2h]
-        if with_dw:
-            parts += [ws.ik1 * w1h, ws.ik2 * w1h, ws.ik1 * w2h, ws.ik2 * w2h]
-        vvals, *dw = ws.inverse(np.stack(parts))
+        vvals, *dw = ws.inverse(np.stack([
+            ws.ik1 * w1h + ws.ik2 * w2h,
+            ws.ik1 * w1h, ws.ik2 * w1h, ws.ik1 * w2h, ws.ik2 * w2h,
+        ]))
     else:
         vvals = div_central2(w1, w2, h)
-        dw = [*grad_central2(w1, h), *grad_central2(w2, h)] if with_dw else []
+        dw = [*grad_central2(w1, h), *grad_central2(w2, h)]
     return GeometryArrays(g1, g2, hvals, w1, w2, vvals, a11, a12, a22, *dw)
 
 
-def geometry_bundle(
-    u: ScalarField | np.ndarray,
-    method: DiffMethod = DiffMethod.SPECTRAL,
-    with_dw: bool = True,
-):
-    """Compute H, w, v and the Hessian of u (plus Dw when requested).
+def geometry_bundle(u: ScalarField | np.ndarray, method: DiffMethod = DiffMethod.SPECTRAL):
+    """Compute H, w, v, the Hessian of u and Dw.
 
     ``u`` is one field, giving a :class:`GeometryBundle`, or a (P, n, n)
     array of P fields on one grid, giving :class:`GeometryArrays` whose rows
     equal the one-field bundles bit for bit.
     """
     if isinstance(u, np.ndarray):
-        return _geometry_arrays(u, method, with_dw)
+        return _geometry_arrays(u, method)
     grid = u.grid
-    a = GeometryArrays(*(None if x is None else x[0]
-                         for x in _geometry_arrays(u.values[None], method, with_dw)))
+    a = GeometryArrays(*(x[0] for x in _geometry_arrays(u.values[None], method)))
     return GeometryBundle(
         grid=grid,
         method=method,
@@ -145,11 +136,6 @@ def geometry_bundle(
         dw21=a.dw21,
         dw22=a.dw22,
     )
-
-
-def _need_dw(b: GeometryBundle, who: str):
-    if not b.has_dw:
-        raise ValueError(f"{who} needs a bundle built with with_dw=True")
 
 
 def mcf_operator(b: GeometryBundle) -> ScalarField:
@@ -184,13 +170,11 @@ def gaussian_curvature(b: GeometryBundle) -> ScalarField:
 
 def det_dw(b: GeometryBundle) -> ScalarField:
     """det(Dw): the Gaussian curvature computed through the tilt map."""
-    _need_dw(b, "det_dw")
     return ScalarField(b.grid, b.dw11 * b.dw22 - b.dw12 * b.dw21)
 
 
 def gauss_bonnet_residual(b: GeometryBundle) -> float:
     """integral of det(Dw) * H over the torus; zero in the continuum."""
-    _need_dw(b, "gauss_bonnet_residual")
     return integrate(ScalarField(b.grid, det_dw(b).values * b.H.values))
 
 
@@ -224,7 +208,6 @@ def cofactor_flux_residual(b: GeometryBundle) -> float:
     Gauss-Bonnet integrand's mean; the pointwise residual decays under
     refinement at the order of the differentiation method.
     """
-    _need_dw(b, "cofactor_flux_residual")
     h1, h2 = h_profile(b.w.x1, b.w.x2)
     # cof(Dw)^T = [[dw22, -dw12], [-dw21, dw11]], applied to 2h(w)
     p1 = 2.0 * (b.dw22 * h1 - b.dw12 * h2)

@@ -26,7 +26,7 @@ from .dynamics import (
     PathBatch,
     PathState,
 )
-from .grid import DiffMethod, GridSpec, ScalarField, l2_norm_sq
+from .grid import GridSpec, ScalarField, l2_norm_sq
 from .monitors import (
     EnergyRecord,
     MartingaleReport,
@@ -74,7 +74,6 @@ class ModelConfig:
     dt: float
     n_steps: int
     record_stride: int = 10
-    method: DiffMethod = DiffMethod.SPECTRAL
     noise_off: bool = False
     martingale_steps: tuple[int, ...] = ()
     stop_at_tau_r: bool = False
@@ -124,9 +123,7 @@ class PathResult:
     seed: int                      # seed of the driving noise path
     records: list[EnergyRecord]
     record_steps: list[int]
-    hv_mass: np.ndarray            # <H v, 1> at the record times
     v_lap: np.ndarray              # <v, Lap u> at the record times
-    w_rec: np.ndarray              # W(t) at the record times
     terminal: ScalarField
     steps_done: int
     max_mass_residual: float
@@ -215,9 +212,7 @@ class _PathLog:
     seed: int | None
     records: list[EnergyRecord] = field(default_factory=list)
     record_steps: list[int] = field(default_factory=list)
-    hv_mass: list[float] = field(default_factory=list)
     v_lap: list[float] = field(default_factory=list)
-    w_rec: list[float] = field(default_factory=list)
     samples: list[MartingaleSample] = field(default_factory=list)
     tau_r_time: float | None = None
 
@@ -226,9 +221,7 @@ class _PathLog:
             seed=self.seed,
             records=self.records,
             record_steps=self.record_steps,
-            hv_mass=np.array(self.hv_mass),
             v_lap=np.array(self.v_lap),
-            w_rec=np.array(self.w_rec),
             terminal=terminal,
             steps_done=steps_done,
             max_mass_residual=max_res,
@@ -271,14 +264,12 @@ def _run_batch(
     batch = PathBatch(u0, start_step, increments, noises[0].dt)
 
     def take_record():
-        recs, hv, vl = record_path_sample(batch.u, batch.t, cfg.method)
+        recs, vl = record_path_sample(batch.u, batch.t)
         for r, p in enumerate(paths):
             log = logs[p]
             log.records.append(recs[r])
             log.record_steps.append(batch.step)
-            log.hv_mass.append(hv[r])
             log.v_lap.append(vl[r])
-            log.w_rec.append(0.0 if cfg.noise_off else float(noises[p].w[batch.step]))
         return recs
 
     def latch(hit: np.ndarray):

@@ -15,12 +15,11 @@ import numpy as np
 
 from .dynamics import StepAudit
 from .geometry import geometry_bundle
-from .grid import DiffMethod, ScalarField, hess_linf_rows
+from .grid import ScalarField, hess_linf_rows
 
 __all__ = [
     "EnergyRecord",
     "RECORD_FIELDS",
-    "record",
     "record_path_sample",
     "MartingaleSample",
     "MartingaleTracker",
@@ -83,25 +82,19 @@ class EnergyRecord:
         )
 
 
-def record(u: ScalarField, t: float, method: DiffMethod = DiffMethod.SPECTRAL) -> EnergyRecord:
-    return record_path_sample(u, t, method)[0]
-
-
-def record_path_sample(
-    u: ScalarField | np.ndarray, t: float, method: DiffMethod = DiffMethod.SPECTRAL
-):
-    """EnergyRecord, the drift-mass rate <H v, 1> and <v, Lap u>, one bundle.
+def record_path_sample(u: ScalarField | np.ndarray, t: float):
+    """EnergyRecord and <v, Lap u> of a field, from one geometry bundle.
 
     <v, Lap u> is the rate at which an eps Lap u drift term removes area,
     d int H = -eps <v, Lap u> dt + ...; see :class:`AreaInequalityReport`.
-    ``u`` is one field, or a (P, n, n) array of P fields at time t; then the
-    three results hold one entry per row (a list of records and two arrays),
-    each equal to the one-field result bit for bit.
+    ``u`` is one field, or a (P, n, n) array of P fields at time t; then both
+    results hold one entry per row (a list of records and an array), each
+    equal to the one-field result bit for bit.
     """
     if isinstance(u, ScalarField):
-        recs, hv, v_lap = record_path_sample(u.values[None], t, method)
-        return recs[0], float(hv[0]), float(v_lap[0])
-    b = geometry_bundle(u, method, with_dw=True)
+        recs, v_lap = record_path_sample(u.values[None], t)
+        return recs[0], float(v_lap[0])
+    b = geometry_bundle(u)
     h = 1.0 / u.shape[-1]
     hh = h * h
 
@@ -121,7 +114,7 @@ def record_path_sample(
         u.max(axis=(1, 2)),
     )
     recs = [EnergyRecord(t, *row) for row in zip(*(c.tolist() for c in columns))]
-    return recs, integral(b.H * b.v), integral(b.v * lap)
+    return recs, integral(b.v * lap)
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +124,12 @@ def record_path_sample(
 class MartingaleSample:
     """Snapshot of one path's accumulators at a sample step.
 
-    m        direct sum  sum_j <g_j, phi> dW_j
-    m_def    <u(t) - u0, phi> minus the scheme's own drift integral
-    qhat     sum_j dt <g_j, phi>^2   (quadratic-variation estimate)
-    a_int    sum_j dt <g_j, phi>     (cross-variation reference)
+    With g_j the step's noise coefficient and the test function phi = 1:
+
+    m        direct sum  sum_j <g_j, 1> dW_j
+    m_def    <u(t) - u0, 1> minus the scheme's own drift integral
+    qhat     sum_j dt <g_j, 1>^2   (quadratic-variation estimate)
+    a_int    sum_j dt <g_j, 1>     (cross-variation reference)
     w        W(t)
 
     A tracker fed batch audits fills the five sums with one value per row.
@@ -157,44 +152,18 @@ class MartingaleSample:
 
 
 class MartingaleTracker:
-    """Accumulates the martingale identities along one path.
+    """Accumulates the martingale identities along one path, for phi = 1.
 
-    With phi omitted the test function is 1 and everything reduces to the
-    audit's mass bookkeeping: the implicit linear part integrates to zero
-    exactly, so m_def only needs the explicit drift masses. For a general
-    smooth phi the tracker needs audits produced with want_fields=True plus
-    the stepper (for its implicit operator split) and the initial field.
-
-    With phi omitted it also accepts batch audits; every accumulator then
-    holds one value per row, and :meth:`select` drops rows leaving the batch.
+    Everything reduces to the audit's mass bookkeeping: the implicit linear
+    part integrates to zero exactly, so m_def only needs the explicit drift
+    masses. Batch audits work too; every accumulator then holds one value
+    per row, and :meth:`select` drops rows leaving the batch.
     """
 
-    def __init__(
-        self,
-        dt: float,
-        sample_steps: Sequence[int],
-        phi: ScalarField | None = None,
-        stepper=None,
-        u0: ScalarField | None = None,
-    ):
+    def __init__(self, dt: float, sample_steps: Sequence[int]):
         self.dt = dt
         self.sample_steps = frozenset(int(s) for s in sample_steps)
-        self.phi = phi
-        if phi is not None:
-            if stepper is None or u0 is None:
-                raise ValueError("a general phi needs the stepper and the initial field")
-            self.ws = stepper.ws
-            # the implicit part A u+ that em_imex audits leave out of
-            # n_explicit; heun_strat (lap_coef 0) has none
-            form = stepper.form
-            self.lin_sym = None
-            if form.lap_coef != 0.0:
-                self.lin_sym = self.ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k)
-            self.h2 = 1.0 / phi.grid.n**2
-            self.phi_vals = phi.values
-            self.mass0 = self.h2 * float(np.sum(u0.values * self.phi_vals))
-        else:
-            self.mass0 = None
+        self.mass0 = None
         self.m = 0.0
         self.drift_int = 0.0
         self.qhat = 0.0
@@ -203,40 +172,21 @@ class MartingaleTracker:
         self.step = 0
         self.samples: list[MartingaleSample] = []
 
-    def _phi_pieces(self, audit: StepAudit) -> tuple[float, float, float]:
-        """(<g,phi>, drift increment, <u_plus,phi>) for a general phi."""
-        if audit.g is None or audit.n_explicit is None or audit.u_plus is None:
-            raise ValueError("general-phi tracking needs audits with want_fields=True")
-        gphi = self.h2 * float(np.sum(audit.g * self.phi_vals))
-        drift_inc = self.dt * self.h2 * float(np.sum(audit.n_explicit * self.phi_vals))
-        if self.lin_sym is not None:
-            if audit.u_plus_hat is None:
-                raise ValueError("implicit-split audits must carry u_plus_hat")
-            au = self.ws.inverse(self.lin_sym * audit.u_plus_hat)
-            drift_inc += self.dt * self.h2 * float(np.sum(au * self.phi_vals))
-        mass_after = self.h2 * float(np.sum(audit.u_plus * self.phi_vals))
-        return gphi, drift_inc, mass_after
-
     def update(self, audit: StepAudit) -> MartingaleSample | None:
         """Fold in one step; returns the sample taken at this step, if any."""
-        if self.phi is None:
-            if self.mass0 is None:
-                self.mass0 = audit.mass_before
-            gphi = audit.g_mass
-            drift_inc = audit.drift_mass
-            mass_after = audit.mass_after
-        else:
-            gphi, drift_inc, mass_after = self._phi_pieces(audit)
+        if self.mass0 is None:
+            self.mass0 = audit.mass_before
+        g_mass = audit.g_mass
         # rebinding, not +=, so that batch samples never alias the sums
-        self.m = self.m + gphi * audit.dw
-        self.drift_int = self.drift_int + drift_inc
-        self.qhat = self.qhat + self.dt * gphi * gphi
-        self.a_int = self.a_int + self.dt * gphi
+        self.m = self.m + g_mass * audit.dw
+        self.drift_int = self.drift_int + audit.drift_mass
+        self.qhat = self.qhat + self.dt * g_mass * g_mass
+        self.a_int = self.a_int + self.dt * g_mass
         self.w = self.w + audit.dw
         self.step += 1
         if self.step not in self.sample_steps:
             return None
-        m_def = (mass_after - self.mass0) - self.drift_int
+        m_def = (audit.mass_after - self.mass0) - self.drift_int
         sample = MartingaleSample(
             step=self.step,
             t=self.step * self.dt,
@@ -354,7 +304,6 @@ def gradient_inequality_check(
     records_per_path: Sequence[Sequence[EnergyRecord]],
     eps: float,
     dt: float,
-    c_dt: float = DEFAULT_C_DT,
     min_paths: int = 50,
 ) -> GradientInequalityReport:
     """Ensemble check of E ge(t) + 2 eps E int_0^t ||Lap u||^2 <= E ge(0).
@@ -371,7 +320,7 @@ def gradient_inequality_check(
     x = ge + 2.0 * eps * _cumtrapz(lap, times) - ge[:, :1]
     mean_x = x.mean(axis=0)
     se_x = x.std(axis=0, ddof=1) / np.sqrt(p) if p > 1 else np.zeros_like(mean_x)
-    allowance = c_dt * dt
+    allowance = DEFAULT_C_DT * dt
     margins = 3.0 * se_x + allowance - mean_x
     if p < min_paths:
         verdict = "insufficient sample"

@@ -144,6 +144,24 @@ class TestResume:
         assert "was dt changed" in capsys.readouterr().err
         assert not (out / "final.snap").exists()
 
+    def test_changed_base_seed_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(
+            ["run", cfg, "--output-dir", str(out), "--stop-after-steps", "9"]
+        ) == EXIT_OK
+        cfg_seed = write_cfg(
+            tmp_path, BASE_CFG.replace("base_seed = 31", "base_seed = 99"), name="seed99.cfg"
+        )
+        code = main(
+            ["resume", cfg_seed, "--checkpoint", str(out / "checkpoint.snap"),
+             "--output-dir", str(out)]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "checkpoint seed 31 does not match config base_seed 99" in err
+        assert not (out / "final.snap").exists()
+
 
 class TestEnsembleCommand:
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
@@ -286,6 +304,20 @@ class TestErrorPaths:
         code = main(["run", str(tmp_path / "nope.cfg")])
         assert code == EXIT_IO
         assert "I/O error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--stop-after-steps", "-5"),
+        ("--stop-after-steps", "0"),
+        ("--checkpoint-every", "-3"),
+        ("--checkpoint-every", "0"),
+    ])
+    def test_step_flags_below_one_are_validation_errors(self, tmp_path, capsys, flag, value):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out), flag, value]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: argument {flag}: must be at least 1, got {value}\n", err)
+        assert not out.exists()
 
     def test_bad_arguments_are_validation_errors(self, capsys):
         assert main(["sweep"]) == EXIT_VALIDATION

@@ -192,6 +192,8 @@ class TestInitialSpecs:
             ("random_smooth:11", "needs 'seed,decay'"),
             ("random_smooth:a,4", "needs 'seed,decay'"),
             ("random_smooth:11,2.0", "decay must be >= 3"),
+            ("random_smooth:18446744073709551616,4", r"seed must lie in \[0, 2\^64\)"),
+            ("random_smooth:-1,4", r"seed must lie in \[0, 2\^64\)"),
             ("waves:1", "unknown initial condition kind"),
         ],
     )

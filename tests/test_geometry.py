@@ -145,18 +145,6 @@ def test_v_is_divergence_of_tilt():
         np.testing.assert_array_equal(b.v.values, again.values)
 
 
-def test_bundle_without_dw_refuses_dw_consumers():
-    u = random_smooth_field(GridSpec(32), 0, 4.0)
-    b = geometry_bundle(u, with_dw=False)
-    assert not b.has_dw
-    with pytest.raises(ValueError, match="with_dw=True"):
-        det_dw(b)
-    with pytest.raises(ValueError, match="with_dw=True"):
-        gauss_bonnet_residual(b)
-    with pytest.raises(ValueError, match="with_dw=True"):
-        cofactor_flux_residual(b)
-
-
 class TestHProfile:
     def test_golden_value(self):
         # |z| = 0.6: coefficient is (1 - 0.8)/(2 * 0.36) = 0.2/0.72

@@ -16,7 +16,6 @@ from smcflow.monitors import (
     gradient_inequality_check,
     kendall_tau,
     martingale_test,
-    record,
     record_path_sample,
 )
 from smcflow.noise import NoisePath, path_seed
@@ -38,7 +37,7 @@ def make_record(t, ge=0.0, area=1.0, mcd=0.0, lapd=0.0, mass=0.0):
 class TestRecord:
     def test_flat_field(self):
         grid = GridSpec(16)
-        r = record(ScalarField.constant(grid, -0.3), 0.25)
+        r = record_path_sample(ScalarField.constant(grid, -0.3), 0.25)[0]
         assert r.t == 0.25
         assert r.grad_energy == 0.0
         assert r.area == 1.0
@@ -54,7 +53,7 @@ class TestRecord:
         # hessian sup 4 pi^2 (attained at the x1 = 1/4 node)
         grid = GridSpec(64)
         x1, _ = grid.nodes()
-        r = record(ScalarField(grid, np.sin(TWO_PI * x1)), 0.0)
+        r = record_path_sample(ScalarField(grid, np.sin(TWO_PI * x1)), 0.0)[0]
         assert r.grad_energy == pytest.approx(2.0 * math.pi**2, rel=1e-13)
         assert r.laplace_dissipation == pytest.approx(8.0 * math.pi**4, rel=1e-13)
         assert r.hess_linf == pytest.approx(4.0 * math.pi**2, rel=1e-12)
@@ -69,7 +68,7 @@ class TestRecord:
         for n in (64, 128):
             grid = GridSpec(n)
             x1, _ = grid.nodes()
-            r = record(ScalarField(grid, np.sin(TWO_PI * x1)), 0.0)
+            r = record_path_sample(ScalarField(grid, np.sin(TWO_PI * x1)), 0.0)[0]
             gaps.append(abs(r.area - AREA_SIN_MODE))
         assert gaps[0] <= 1e-6
         assert gaps[1] <= 1e-10
@@ -81,12 +80,18 @@ class TestRecord:
         assert row[RECORD_FIELDS.index("t")] == 0.5
         assert row[RECORD_FIELDS.index("mass")] == 2.0
 
-    def test_path_sample_returns_drift_mass_rate(self):
+    def test_path_sample_one_field_matches_batch_row(self):
+        # one field gives its row of a batch sample bit for bit; a flat row
+        # has <v, Lap u> = 0
         grid = GridSpec(16)
-        rec, hv_mass, v_lap = record_path_sample(ScalarField.constant(grid, 1.0), 0.0)
-        assert rec == record(ScalarField.constant(grid, 1.0), 0.0)
-        assert hv_mass == 0.0
-        assert v_lap == 0.0
+        x1, x2 = grid.nodes()
+        flat = ScalarField.constant(grid, 1.0)
+        wavy = ScalarField(grid, 0.3 * np.sin(TWO_PI * x1) + 0.2 * np.cos(TWO_PI * x2))
+        recs, v_laps = record_path_sample(np.stack([flat.values, wavy.values]), 0.5)
+        assert record_path_sample(flat, 0.5) == (recs[0], 0.0)
+        assert v_laps[0] == 0.0
+        assert record_path_sample(wavy, 0.5) == (recs[1], v_laps[1])
+        assert v_laps[1] > 0.0
 
     def test_path_sample_v_lap_matches_1d_quadrature(self):
         # u = a sin(2 pi x1): v = u'' / H^3 and Lap u = u'', so <v, Lap u>
@@ -94,7 +99,7 @@ class TestRecord:
         a, n = 0.1, 64
         grid = GridSpec(n)
         x1, _ = grid.nodes()
-        _, _, v_lap = record_path_sample(ScalarField(grid, a * np.sin(TWO_PI * x1)), 0.0)
+        _, v_lap = record_path_sample(ScalarField(grid, a * np.sin(TWO_PI * x1)), 0.0)
         x = (np.arange(4096) + 0.5) / 4096
         d1 = a * TWO_PI * np.cos(TWO_PI * x)
         d2 = -a * TWO_PI**2 * np.sin(TWO_PI * x)
@@ -131,42 +136,18 @@ class TestMartingaleTracker:
 
     def test_smooth_path_assembly_gap(self):
         # the direct noise sum and the drift-subtracted mass increment are
-        # the same number up to rounding, for the mean and a general phi
+        # the same number up to rounding
         grid = GridSpec(16)
         x1, x2 = grid.nodes()
         u0 = ScalarField(grid, 0.3 * np.sin(TWO_PI * x1) + 0.2 * np.cos(TWO_PI * x2))
         noise = NoisePath.generate(7, 1e-3, 40)
         stepper = EmImexStepper(grid, ModelForm(FormKind.ITO_MCF), noise.dt)
-        phi = ScalarField(grid, np.cos(TWO_PI * x1))
-        tr_phi = MartingaleTracker(noise.dt, [10, 40], phi=phi, stepper=stepper, u0=u0)
-        tr_mean = MartingaleTracker(noise.dt, [10, 40])
+        tracker = MartingaleTracker(noise.dt, [10, 40])
         state = PathState(u=u0, step=0, noise=noise)
         for _ in range(40):
-            state, audit = stepper.step(state, want_fields=True)
-            tr_phi.update(audit)
-            tr_mean.update(audit)
-        assert max(abs(s.m - s.m_def) for s in tr_phi.samples) <= 1e-12
-        assert max(abs(s.m - s.m_def) for s in tr_mean.samples) <= 1e-12
-        assert tr_phi.samples[0].m != tr_mean.samples[0].m
-
-    def test_general_phi_needs_context(self):
-        grid = GridSpec(8)
-        phi = ScalarField.constant(grid, 1.0)
-        with pytest.raises(ValueError, match="stepper and the initial field"):
-            MartingaleTracker(1e-3, [1], phi=phi)
-
-    def test_general_phi_needs_field_audits(self):
-        grid = GridSpec(8)
-        noise = NoisePath.generate(0, 1e-3, 2)
-        stepper = EmImexStepper(grid, ModelForm(FormKind.ITO_MCF), noise.dt)
-        u0 = ScalarField.constant(grid, 0.0)
-        tracker = MartingaleTracker(
-            noise.dt, [1], phi=ScalarField.constant(grid, 1.0), stepper=stepper, u0=u0
-        )
-        state = PathState(u=u0, step=0, noise=noise)
-        _, audit = stepper.step(state)  # want_fields left off
-        with pytest.raises(ValueError, match="want_fields"):
+            state, audit = stepper.step(state)
             tracker.update(audit)
+        assert max(abs(s.m - s.m_def) for s in tracker.samples) <= 1e-12
 
 
 class TestMartingaleTest:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from smcflow.grid import GridSpec, ScalarField
-from smcflow.monitors import record
+from smcflow.monitors import record_path_sample
 from smcflow.snapshot import (
     CSV_HEADER,
     SNAPSHOT_MAGIC,
@@ -123,7 +123,7 @@ class TestSeries:
                 grid,
                 (0.3 + 0.01 * k) * np.sin(TWO_PI * x1) + 1e-7 * np.cos(TWO_PI * x2),
             )
-            out.append(record(u, t))
+            out.append(record_path_sample(u, t)[0])
         return out
 
     def test_header_is_fixed(self):

@@ -3,13 +3,19 @@
 ``perfbench/spans.py`` looks its targets up by name in the smcflow modules
 and classes; a rename or deletion there would otherwise surface only in the
 minutes-long ``pytest perfbench`` run. An import nothing references is
-caught by an AST scan of the package and the tests.
+caught by an AST scan of the package and the tests, and the option surface
+of the stepping and monitoring entry points is pinned by name.
 """
 import ast
+import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
 from smcflow.dynamics import EmImexStepper, HeunStratStepper
+from smcflow.geometry import geometry_bundle
+from smcflow.harness import ModelConfig
+from smcflow.monitors import MartingaleTracker, gradient_inequality_check, record_path_sample
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -70,3 +76,21 @@ def test_no_unused_imports():
     files = sorted([*(ROOT / "src" / "smcflow").glob("*.py"), *(ROOT / "tests").glob("*.py")])
     assert files
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def test_option_surface_is_pinned():
+    # every option here has a caller outside the unit tests; a new knob
+    # shows up as an edit to this list
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+        "form", "scheme", "n", "dt", "n_steps", "record_stride", "noise_off",
+        "martingale_steps", "stop_at_tau_r",
+    ]
+    assert params(EmImexStepper.step) == ["self", "state"]
+    assert params(HeunStratStepper.step) == ["self", "state"]
+    assert params(MartingaleTracker.__init__) == ["self", "dt", "sample_steps"]
+    assert params(geometry_bundle) == ["u", "method"]
+    assert params(record_path_sample) == ["u", "t"]
+    assert params(gradient_inequality_check) == ["records_per_path", "eps", "dt", "min_paths"]
