@@ -165,17 +165,13 @@ def _theta_times_a(a: np.ndarray, r: float) -> np.ndarray:
 def truncate_hessian_arrays(a11, a12, a22, r: float):
     """Apply theta_R entrywise to the three Hessian components.
 
-    When no entry of any component exceeds R/2 the cutoff is the identity,
-    and the inputs themselves are returned. A batch is clipped as a whole
-    once any row is active; rows within R/2 pass the clip unchanged, so each
-    row still equals its one-path result. A NaN entry makes its component's
-    maximum NaN, which fails the comparison and takes the full clip.
+    The caller decides whether the cutoff acts at all; explicit_terms calls
+    this only once some row exceeds R/2. A batch is clipped as a whole;
+    rows within R/2 pass the clip unchanged, so each row still equals its
+    one-path result.
     """
     if not r > 0.0:
         raise ValueError("truncation radius must be positive")
-    half = 0.5 * r
-    if all(np.abs(a).max(initial=0.0) <= half for a in (a11, a12, a22)):
-        return a11, a12, a22
     return _theta_times_a(a11, r), _theta_times_a(a12, r), _theta_times_a(a22, r)
 
 

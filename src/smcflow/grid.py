@@ -178,11 +178,6 @@ def _require_finite(values: np.ndarray, what: str):
 # array kernels (used directly by the steppers; public ops wrap them). They
 # act on the last two axes, so a leading batch axis rides along.
 
-def grad_spectral(values, ws):
-    uh = ws.forward(values)
-    return ws.inverse(ws.ik1 * uh), ws.inverse(ws.ik2 * uh)
-
-
 def grad_spectral_hat(uh, ws):
     return ws.inverse(np.stack([ws.ik1 * uh, ws.ik2 * uh]))
 
@@ -203,14 +198,6 @@ def hess_linf_rows(a11, a12, a22):
 def div_spectral(f1, f2, ws):
     f1h, f2h = ws.forward(np.stack([f1, f2]))
     return ws.inverse(ws.ik1 * f1h + ws.ik2 * f2h)
-
-
-def hess_spectral_hat(uh, ws):
-    return (
-        ws.inverse(ws.sym_xx * uh),
-        ws.inverse(ws.sym_xy * uh),
-        ws.inverse(ws.sym_yy * uh),
-    )
 
 
 def grad_central2(values, h):
@@ -248,7 +235,8 @@ def gradient(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> Vector
     """Periodic gradient of u; axis 0 differentiates in x1."""
     _require_finite(u.values, "gradient input")
     if method is DiffMethod.SPECTRAL:
-        g1, g2 = grad_spectral(u.values, get_workspace(u.grid.n))
+        ws = get_workspace(u.grid.n)
+        g1, g2 = grad_spectral_hat(ws.forward(u.values), ws)
     else:
         g1, g2 = grad_central2(u.values, u.grid.h)
     return VectorField(u.grid, g1, g2)
@@ -280,7 +268,7 @@ def hessian(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> SymTens
     _require_finite(u.values, "hessian input")
     if method is DiffMethod.SPECTRAL:
         ws = get_workspace(u.grid.n)
-        a11, a12, a22 = hess_spectral_hat(ws.forward(u.values), ws)
+        _, _, a11, a12, a22 = grad_hess_spectral_hat(ws.forward(u.values), ws)[:, 0]
     else:
         a11, a12, a22 = hess_central2(u.values, u.grid.h)
     return SymTensorField(u.grid, a11, a12, a22)

@@ -383,15 +383,10 @@ def run_ensemble(
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     t0 = time.perf_counter()
-
-    def noises():
-        for i in range(n_paths):
-            # keep the increments only: an ensemble never refines, and the
-            # stored finer levels take 2^REFINE_DEPTH times their memory
-            nz = NoisePath.generate(path_seed(base_seed, i), cfg.dt, cfg.n_steps)
-            yield NoisePath(nz.seed, nz.dt, nz.level, nz.increments)
-
-    results = run_paths(cfg, u0, noises())
+    results = run_paths(cfg, u0, (
+        NoisePath.generate(path_seed(base_seed, i), cfg.dt, cfg.n_steps)
+        for i in range(n_paths)
+    ))
 
     n_censored = sum(1 for r in results if r.censored)
     mart = None

@@ -5,16 +5,17 @@ splitmix64-style mixing of (seed, stream tags). Splitting is pure arithmetic,
 so any path, refinement level, or ensemble member can be regenerated from
 integers alone; a snapshot only needs (seed, step) to resume a run exactly.
 
-Refinement works bottom-up. A generated path secretly carries increments at
-REFINE_DEPTH dyadic levels below the requested grid, and every coarser level
-is defined as the pairwise floating-point sum of the level beneath it. Each
-refine() call reveals the next stored level, so "coarse increment == sum of
-its two halves" holds bitwise at every level by construction. Inserting
-bridge midpoints top-down cannot give that: when the midpoint offset dwarfs
-a small coarse increment, the rounded pair sum misses the stored coarse
-value by an amount below one ulp of the halves, which no adjustment of the
-halves can repair. Revealing a pre-drawn finer level has the same law as
-bridge insertion and sidesteps the problem entirely.
+Refinement works bottom-up. A generated path is the top of REFINE_DEPTH
+dyadic levels drawn from its seed, and every coarser level is defined as the
+pairwise floating-point sum of the level beneath it. A path stores only its
+own level; each refine() call redraws the deepest level from the seed and
+folds it one round less, so "coarse increment == sum of its two halves"
+holds bitwise at every level by construction. Inserting bridge midpoints
+top-down cannot give that: when the midpoint offset dwarfs a small coarse
+increment, the rounded pair sum misses the stored coarse value by an amount
+below one ulp of the halves, which no adjustment of the halves can repair.
+A finer level redrawn from the seed has the same law as bridge insertion and
+sidesteps the problem entirely.
 """
 from __future__ import annotations
 
@@ -34,6 +35,10 @@ TAG_IC = 0x49435247     # random initial-condition coefficients
 # regeneration from (seed, dt, n_steps) is bit-reproducible no matter who
 # asks; a per-call depth would make the same seed yield different paths.
 REFINE_DEPTH = 6
+
+# Coarse steps whose deepest-level normals are drawn and folded at once;
+# bounds the draw's working memory without changing any bit of the result.
+DRAW_CHUNK = 1 << 10
 
 
 def _mix(x: int) -> int:
@@ -57,16 +62,33 @@ def path_seed(base_seed: int, index: int) -> int:
     return derive_key(base_seed, TAG_PATH, index)
 
 
-def _normals(key: int, count: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal(count)
-
-
 def _fold(fine: np.ndarray, times: int) -> np.ndarray:
     """Coarsen by pairwise sums, one dyadic level per round."""
     out = fine
     for _ in range(times):
         out = out[0::2] + out[1::2]
+    return out
+
+
+def _draw(seed: int, dt: float, n_steps: int, folds: int) -> np.ndarray:
+    """Increments of generate(seed, dt, n_steps) refined REFINE_DEPTH - folds times.
+
+    The deepest level holds 2^REFINE_DEPTH normals of variance
+    dt / 2^REFINE_DEPTH per step, and ``folds`` pairwise-sum rounds coarsen
+    it. Normals are drawn DRAW_CHUNK steps at a time and folded as they
+    come: one generator read in pieces yields the same stream as one read,
+    and no pair straddles a chunk edge, so the bits equal one draw folded
+    whole.
+    """
+    per_step = 1 << REFINE_DEPTH
+    gen = np.random.Generator(np.random.Philox(key=derive_key(seed, TAG_NOISE, 0)))
+    scale = np.sqrt(dt / per_step)
+    shift = REFINE_DEPTH - folds
+    out = np.empty(n_steps << shift)
+    for start in range(0, n_steps, DRAW_CHUNK):
+        stop = min(start + DRAW_CHUNK, n_steps)
+        z = gen.standard_normal((stop - start) * per_step)
+        out[start << shift:stop << shift] = _fold(scale * z, folds)
     return out
 
 
@@ -77,17 +99,18 @@ class NoisePath:
     the running sums with w[0] = 0. ``level`` counts how many refine() calls
     produced this grid from the originally generated one.
 
-    Paths built directly from an increments array (rather than generate())
-    carry no finer levels and cannot be refined.
+    A path holds nothing but these arrays and the (seed, dt, level) that
+    regenerate them: refine() redraws the finer level from the seed. A path
+    built from increments that are not the draw of its seed has nothing
+    finer and cannot be refined.
     """
 
-    def __init__(self, seed: int, dt: float, level: int, increments, base=None):
+    def __init__(self, seed: int, dt: float, level: int, increments):
         self.seed = seed
         self.dt = dt
         self.level = level
         self.increments = np.asarray(increments, dtype=np.float64)
         self.w = np.concatenate(([0.0], np.cumsum(self.increments)))
-        self._base = base  # deepest-level increments, None for handmade paths
 
     @property
     def n_steps(self) -> int:
@@ -99,28 +122,21 @@ class NoisePath:
             raise ValueError("noise path needs dt > 0")
         if n_steps < 1:
             raise ValueError("noise path needs at least one step")
-        scale = 1 << REFINE_DEPTH
-        z = _normals(derive_key(seed, TAG_NOISE, 0), n_steps * scale)
-        base = np.sqrt(dt / scale) * z
-        return cls(seed, dt, 0, _fold(base, REFINE_DEPTH), base=base)
+        return cls(seed, dt, 0, _draw(seed, dt, n_steps, REFINE_DEPTH))
 
     def refine(self) -> "NoisePath":
-        """Halve dt by revealing the next stored dyadic level.
+        """Halve dt by redrawing the next dyadic level from the seed.
 
         The result's pairwise increment sums reproduce this path's
         increments exactly (same floating-point additions that defined
         them), so refined paths are drop-in replacements in comparisons
         against the coarse run.
         """
-        if self._base is None:
-            raise ValueError("path was built from raw increments; nothing finer is stored")
         depth_left = REFINE_DEPTH - self.level
         if depth_left == 0:
             raise ValueError(f"refinement depth exhausted ({REFINE_DEPTH} levels)")
-        return NoisePath(
-            self.seed,
-            0.5 * self.dt,
-            self.level + 1,
-            _fold(self._base, depth_left - 1),
-            base=self._base,
-        )
+        up = 1 << self.level  # back to the generated grid
+        fine = _draw(self.seed, self.dt * up, self.n_steps // up, depth_left - 1)
+        if not np.array_equal(fine[0::2] + fine[1::2], self.increments):
+            raise ValueError("increments are not the draw of this seed; nothing finer")
+        return NoisePath(self.seed, 0.5 * self.dt, self.level + 1, fine)

@@ -73,6 +73,10 @@ def unpack_snapshot(blob: bytes) -> tuple[ScalarField, float, int, int]:
     version, n, t, seed, step = _HEADER.unpack_from(blob, 4)
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
+    try:
+        grid = GridSpec(n)
+    except ValueError as e:
+        raise SnapshotError(f"bad header field n: {e}") from None
     expected = head + n * n * 8 + _CRC.size
     if len(blob) != expected:
         raise SnapshotError(f"snapshot length {len(blob)} != expected {expected}")
@@ -81,7 +85,7 @@ def unpack_snapshot(blob: bytes) -> tuple[ScalarField, float, int, int]:
     if zlib.crc32(payload) != crc:
         raise SnapshotError("snapshot payload CRC mismatch")
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n, n)
-    return ScalarField(GridSpec(n), values), t, seed, step
+    return ScalarField(grid, values), t, seed, step
 
 
 def write_snapshot(path, field: ScalarField, t: float, seed: int, step: int):

@@ -1,5 +1,7 @@
 """End-to-end CLI tests: exit codes, determinism, checkpoint/resume."""
 import re
+import struct
+import zlib
 
 import pytest
 
@@ -111,6 +113,21 @@ class TestResume:
         code = main(["resume", cfg, "--checkpoint", str(ckpt), "--output-dir", str(out)])
         assert code == EXIT_IO
         assert "CRC" in capsys.readouterr().err
+
+    def test_bad_grid_size_in_header_is_io_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        ckpt = tmp_path / "n6.snap"
+        payload = bytes(6 * 6 * 8)
+        ckpt.write_bytes(
+            b"SMCF" + struct.pack("<HIdQQ", 1, 6, 0.009, 31, 9)
+            + payload + struct.pack("<I", zlib.crc32(payload))
+        )
+        code = main(["resume", cfg, "--checkpoint", str(ckpt), "--output-dir", str(out)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("I/O error:")
+        assert "header field n" in err[0]
 
     def test_resolution_mismatch_is_validation_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

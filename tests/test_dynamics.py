@@ -231,22 +231,11 @@ class TestTruncation:
 
     @staticmethod
     def full_clip(a, r):
-        """The cutoff applied entrywise, with no short-circuit."""
+        """The cutoff written out entrywise, as a reference."""
         aa = np.abs(a)
         x = np.clip(2.0 * aa / r - 1.0, 0.0, 1.0)
         s = ((6.0 * x - 15.0) * x + 10.0) * x * x * x
         return np.where(aa <= 0.5 * r, a, np.where(aa >= r, 0.0, (1.0 - s) * a))
-
-    @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)])
-    def test_entry_at_half_radius_passes_through(self, shape):
-        r = 8.0
-        rng = np.random.default_rng(1)
-        comps = [rng.uniform(-4.0, 4.0, shape) for _ in range(3)]
-        comps[1].flat[5] = -4.0
-        comps[2].flat[-1] = 4.0
-        out = truncate_hessian_arrays(*comps, r)
-        for a, b in zip(comps, out):
-            assert b is a
 
     @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)])
     @pytest.mark.parametrize("which", [0, 1, 2])

@@ -1,10 +1,12 @@
 """Tests for the scalar Wiener path: keyed generation, refinement, exactness."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from smcflow.noise import (
+    DRAW_CHUNK,
     NoisePath,
     REFINE_DEPTH,
     TAG_NOISE,
@@ -173,6 +175,49 @@ class TestTruncated:
         np.testing.assert_array_equal(a.increments, b.increments[:24])
         assert a.dt == b.dt
         assert a.level == b.level
+
+
+def one_shot(seed, dt, n_steps, folds):
+    """The deepest level in one Philox draw, scaled, then folded."""
+    gen = np.random.Generator(np.random.Philox(key=derive_key(seed, TAG_NOISE, 0)))
+    out = np.sqrt(dt / (1 << REFINE_DEPTH)) * gen.standard_normal(n_steps << REFINE_DEPTH)
+    for _ in range(folds):
+        out = out[0::2] + out[1::2]
+    return out
+
+
+class TestChunkedDraw:
+    """Drawing in chunks and redrawing on refine() change no bit."""
+
+    @pytest.mark.parametrize(
+        "n_steps", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 7]
+    )
+    def test_generate_and_refine_equal_one_draw(self, n_steps):
+        p = NoisePath.generate(17, 3e-4, n_steps)
+        assert p.increments.tobytes() == one_shot(17, 3e-4, n_steps, REFINE_DEPTH).tobytes()
+        f = p.refine().refine()
+        assert f.increments.tobytes() == one_shot(17, 3e-4, n_steps, REFINE_DEPTH - 2).tobytes()
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_altered_increment_cannot_refine(self, level):
+        p = NoisePath.generate(5, 1e-3, 20)
+        for _ in range(level):
+            p = p.refine()
+        inc = p.increments.copy()
+        inc[7] = np.nextafter(inc[7], np.inf)
+        with pytest.raises(ValueError, match="nothing finer"):
+            NoisePath(p.seed, p.dt, p.level, inc).refine()
+
+    def test_generate_memory_is_linear_in_steps(self):
+        # 100,000 steps hold 1.6 MB of increments and running sums; the
+        # deepest level alone would be 51.2 MB
+        tracemalloc.start()
+        try:
+            NoisePath.generate(7, 1e-5, 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 if __name__ == "__main__":

@@ -106,6 +106,19 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotError, match="length"):
             unpack_snapshot(blob + b"\x00")
 
+    @pytest.mark.parametrize("n", [0, 6, 7])
+    def test_bad_grid_size_in_header(self, n):
+        # length and CRC agree with the header, only n itself is invalid
+        payload = np.zeros(n * n, dtype="<f8").tobytes()
+        blob = (
+            SNAPSHOT_MAGIC
+            + struct.pack("<HIdQQ", SNAPSHOT_VERSION, n, 0.0, 0, 0)
+            + payload
+            + struct.pack("<I", zlib.crc32(payload))
+        )
+        with pytest.raises(SnapshotError, match=f"header field n: grid size n={n}"):
+            unpack_snapshot(blob)
+
     def test_crc_mismatch(self):
         blob = bytearray(pack_snapshot(sample_field(), 0.0, 0, 0))
         blob[40] ^= 0xFF    # flip one payload byte

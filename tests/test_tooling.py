@@ -16,6 +16,7 @@ from smcflow.dynamics import EmImexStepper, HeunStratStepper
 from smcflow.geometry import geometry_bundle
 from smcflow.harness import ModelConfig
 from smcflow.monitors import MartingaleTracker, gradient_inequality_check, record_path_sample
+from smcflow.noise import NoisePath
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -94,3 +95,4 @@ def test_option_surface_is_pinned():
     assert params(geometry_bundle) == ["u", "method"]
     assert params(record_path_sample) == ["u", "t"]
     assert params(gradient_inequality_check) == ["records_per_path", "eps", "dt", "min_paths"]
+    assert params(NoisePath.__init__) == ["self", "seed", "dt", "level", "increments"]
