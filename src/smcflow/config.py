@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import FormKind, ModelForm, default_dt
+from .dynamics import FormKind, ModelForm, default_dt, heun_default_dt
 from .grid import GridSpec, ScalarField
 from .harness import SCHEMES, ModelConfig
 from .noise import TAG_IC, derive_key
@@ -43,12 +43,14 @@ class ConfigError(ValueError):
     pass
 
 
-def resolve_dt(n: int, T: float) -> float:
-    """Largest dt that divides T exactly while staying under 0.25 h^2.
+def resolve_dt(dt_max: float, T: float) -> float:
+    """Largest dt that divides T exactly while staying at or under dt_max.
 
-    Used when the config leaves dt unset, so the defaults always validate.
+    Used when the config leaves dt unset, with the scheme's default step
+    (default_dt or heun_default_dt) as dt_max, so the defaults always
+    validate.
     """
-    return T / math.ceil(T / default_dt(n))
+    return T / math.ceil(T / dt_max)
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"T must be positive and finite, got {cfg.T}")
     if not 0.0 <= cfg.dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {cfg.dt}")
-    dt = cfg.dt or resolve_dt(cfg.n, cfg.T)
+    dt = cfg.dt or resolve_dt((heun_default_dt if strat else default_dt)(cfg.n), cfg.T)
     steps = cfg.T / dt  # overflows to inf when dt is tiny against T
     m = round(steps) if steps < math.inf else 0
     if m < 1 or abs(m * dt - cfg.T) > 1e-9 * max(cfg.T, dt):

@@ -54,6 +54,7 @@ __all__ = [
     "PicardReport",
     "mild_picard_iterate",
     "default_dt",
+    "heun_default_dt",
 ]
 
 
@@ -141,8 +142,17 @@ class NonFiniteFieldError(RuntimeError):
 
 
 def default_dt(n: int) -> float:
-    """Explicit-stability proxy 0.25 h^2 used when no dt is given."""
+    """Explicit-stability proxy 0.25 h^2 that em_imex uses when no dt is given."""
     return 0.25 / (n * n)
+
+
+def heun_default_dt(n: int) -> float:
+    """Step heun_strat uses when no dt is given: 0.05 h^2.
+
+    That is half the Heun bound h^2 / pi^2 (about 0.101 h^2, see
+    HeunStratStepper); default_dt's 0.25 h^2 lies above it and blows up.
+    """
+    return 0.05 / (n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +198,23 @@ def explicit_terms(uh: np.ndarray, form: ModelForm, ws):
     aniso = form.kind in _ANISO_KINDS
     hess_linf = None
     if aniso:
-        g1, g2, a11, a12, a22 = grad_hess_spectral_hat(uh, ws)
+        d = grad_hess_spectral_hat(uh, ws)
+        grad = d[:2]
+        a11, a12, a22 = d[2:]
         hess_linf = hess_linf_rows(a11, a12, a22)
         r = form.r_trunc
         if form.kind is FormKind.REGULARIZED_TRUNCATED and not hess_linf.max() <= 0.5 * r:
             a11, a12, a22 = truncate_hessian_arrays(a11, a12, a22, r)
     else:
-        g1, g2 = grad_spectral_hat(uh, ws)
+        grad = grad_spectral_hat(uh, ws)
+    g1, g2 = grad
     hval = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-    w1 = g1 / hval
-    w2 = g2 / hval
+    w = grad / hval
     if aniso:
+        w1, w2 = w
         n_explicit = -0.5 * (w1 * w1 * a11 + 2.0 * w1 * w2 * a12 + w2 * w2 * a22)
     else:
-        hv = hval * div_spectral(w1, w2, ws)
+        hv = hval * div_spectral(w, ws)
         # unit prefactors skip their multiply, which would not change a bit
         n_explicit = hv if form.hv_coef == 1.0 else form.hv_coef * hv
     g = hval if form.rho == 1.0 else np.sqrt(form.rho) * hval
@@ -382,7 +395,9 @@ class HeunStratStepper:
 
     Fully explicit; the usual midpoint trapezoid in both drift and noise
     makes it consistent with the Stratonovich calculus. Stability demands
-    dt * (8 pi^2) * (n/2)^2 < 2, which default_dt satisfies with margin.
+    dt * (8 pi^2) * (n/2)^2 < 2, i.e. dt < h^2 / pi^2 (about 0.101 h^2).
+    heun_default_dt stays at half of that; default_dt (0.25 h^2) does not
+    satisfy it.
     """
 
     def __init__(self, grid: GridSpec, form: ModelForm, dt: float, noise_off: bool = False):

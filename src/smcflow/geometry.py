@@ -92,16 +92,19 @@ def _geometry_arrays(values: np.ndarray, method: DiffMethod) -> GeometryArrays:
     spectral = method is DiffMethod.SPECTRAL
     if spectral:
         ws = get_workspace(n)
-        g1, g2, a11, a12, a22 = grad_hess_spectral_hat(ws.forward(values), ws)
+        d = grad_hess_spectral_hat(ws.forward(values), ws)
+        grad = d[:2]
+        a11, a12, a22 = d[2:]
     else:
         h = 1.0 / n
-        g1, g2 = grad_central2(values, h)
+        grad = np.stack(grad_central2(values, h))
         a11, a12, a22 = hess_central2(values, h)
+    g1, g2 = grad
     hvals = np.sqrt(1.0 + g1 * g1 + g2 * g2)
-    w1 = g1 / hvals
-    w2 = g2 / hvals
+    w = grad / hvals
+    w1, w2 = w
     if spectral:
-        w1h, w2h = ws.forward(np.stack([w1, w2]))
+        w1h, w2h = ws.forward(w)
         vvals, *dw = ws.inverse(np.stack([
             ws.ik1 * w1h + ws.ik2 * w2h,
             ws.ik1 * w1h, ws.ik2 * w1h, ws.ik1 * w2h, ws.ik2 * w2h,
@@ -213,7 +216,7 @@ def cofactor_flux_residual(b: GeometryBundle) -> float:
     p1 = 2.0 * (b.dw22 * h1 - b.dw12 * h2)
     p2 = 2.0 * (-b.dw21 * h1 + b.dw11 * h2)
     if b.method is DiffMethod.SPECTRAL:
-        div_p = div_spectral(p1, p2, get_workspace(b.grid.n))
+        div_p = div_spectral(np.stack([p1, p2]), get_workspace(b.grid.n))
     else:
         div_p = div_central2(p1, p2, b.grid.h)
     target = det_dw(b).values * b.H.values

@@ -9,6 +9,11 @@ an independent discretization:
 
 Quadrature uses ``np.sum``, which reduces in a fixed pairwise order, so
 integrals are bit-reproducible for a fixed grid regardless of thread count.
+
+Every transform goes through :meth:`SpectralWorkspace.forward` and
+:meth:`SpectralWorkspace.inverse`, which call numpy's pocketfft kernels
+directly: the same kernels, factors and output layout as ``np.fft.rfft2``
+and ``np.fft.irfft2``, without their per-call argument handling.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 __all__ = [
     "DiffMethod",
@@ -108,6 +114,11 @@ class SymTensorField:
         self.a22 = _as_values(self.a22, self.grid.n)
 
 
+# gufunc axes of a 1-D transform along the second to last axis: input,
+# scale factor, output
+_SECOND_LAST = [(-2,), (), (-2,)]
+
+
 class SpectralWorkspace:
     """Precomputed wavenumber tables and operator symbols for one grid size.
 
@@ -136,17 +147,38 @@ class SpectralWorkspace:
         # Laplacian symbol lambda(k) = -4 pi^2 |k|^2, the sum of the two
         # diagonal second-derivative symbols.
         self.lap_sym = self.sym_xx + self.sym_yy
-        # (5, 1, n, n//2 + 1) symbols of d1, d2, d11, d12, d22 for a batch
+        # (5, 1, n, n//2 + 1) symbols of d1, d2, d11, d12, d22 for a batch;
+        # the first two are the gradient's
         self.grad_hess_syms = np.stack(
             np.broadcast_arrays(self.ik1, self.ik2, self.sym_xx, self.sym_xy, self.sym_yy)
         ).astype(complex)[:, None]
         self._poly_cache: dict[int, np.ndarray] = {}
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfft2(values)
+        """Real 2-D transform over the last two axes; equals np.fft.rfft2 bitwise.
+
+        A real transform along the last axis, then a complex one along the
+        second to last, both unscaled, into arrays laid out as numpy's own.
+        """
+        half = np.empty_like(
+            values, shape=(*values.shape[:-1], self.n // 2 + 1), dtype=np.complex128
+        )
+        _pocketfft.rfft_n_even(values, 1, out=half)
+        return _pocketfft.fft(half, 1, axes=_SECOND_LAST, out=np.empty_like(half))
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(coeffs, s=(self.n, self.n))
+        """Inverse of forward onto n x n points; equals np.fft.irfft2(s=(n, n)) bitwise.
+
+        The complex inverse along the second to last axis, then the real
+        inverse along the last, each scaled by 1 / n.
+        """
+        scale = 1.0 / self.n
+        full = _pocketfft.ifft(
+            coeffs, scale, axes=_SECOND_LAST,
+            out=np.empty_like(coeffs, dtype=np.complex128),
+        )
+        out = np.empty_like(full, shape=(*full.shape[:-1], self.n), dtype=np.float64)
+        return _pocketfft.irfft(full, scale, out=out)
 
     def polyharmonic_sym(self, big_k: int) -> np.ndarray:
         """Symbol of Delta^(2K); an even power of lambda(k), hence >= 0."""
@@ -179,7 +211,8 @@ def _require_finite(values: np.ndarray, what: str):
 # act on the last two axes, so a leading batch axis rides along.
 
 def grad_spectral_hat(uh, ws):
-    return ws.inverse(np.stack([ws.ik1 * uh, ws.ik2 * uh]))
+    """(g1, g2) of a (P, n, n//2 + 1) batch as one (2, P, n, n) array."""
+    return ws.inverse(ws.grad_hess_syms[:2] * uh)
 
 
 def grad_hess_spectral_hat(uh, ws):
@@ -195,8 +228,9 @@ def hess_linf_rows(a11, a12, a22):
     return np.maximum(np.maximum(row_max(a11), row_max(a12)), row_max(a22))
 
 
-def div_spectral(f1, f2, ws):
-    f1h, f2h = ws.forward(np.stack([f1, f2]))
+def div_spectral(f, ws):
+    """Divergence of a vector field stacked as f[0], f[1]; one forward call."""
+    f1h, f2h = ws.forward(f)
     return ws.inverse(ws.ik1 * f1h + ws.ik2 * f2h)
 
 
@@ -236,7 +270,7 @@ def gradient(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> Vector
     _require_finite(u.values, "gradient input")
     if method is DiffMethod.SPECTRAL:
         ws = get_workspace(u.grid.n)
-        g1, g2 = grad_spectral_hat(ws.forward(u.values), ws)
+        g1, g2 = grad_spectral_hat(ws.forward(u.values), ws)[:, 0]
     else:
         g1, g2 = grad_central2(u.values, u.grid.h)
     return VectorField(u.grid, g1, g2)
@@ -246,7 +280,7 @@ def divergence(f: VectorField, method: DiffMethod = DiffMethod.SPECTRAL) -> Scal
     _require_finite(f.x1, "divergence input")
     _require_finite(f.x2, "divergence input")
     if method is DiffMethod.SPECTRAL:
-        d = div_spectral(f.x1, f.x2, get_workspace(f.grid.n))
+        d = div_spectral(np.stack([f.x1, f.x2]), get_workspace(f.grid.n))
     else:
         d = div_central2(f.x1, f.x2, f.grid.h)
     return ScalarField(f.grid, d)

@@ -19,6 +19,8 @@ sidesteps the problem entirely.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["derive_key", "NoisePath", "path_seed", "REFINE_DEPTH"]
@@ -60,6 +62,12 @@ def derive_key(seed: int, *path: int) -> int:
 def path_seed(base_seed: int, index: int) -> int:
     """Seed for ensemble member `index`; disjoint from the base stream."""
     return derive_key(base_seed, TAG_PATH, index)
+
+
+def _check_dt(dt: float):
+    # the chained comparison also rejects NaN
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"noise path needs a positive finite dt, got {dt}")
 
 
 def _fold(fine: np.ndarray, times: int) -> np.ndarray:
@@ -106,10 +114,18 @@ class NoisePath:
     """
 
     def __init__(self, seed: int, dt: float, level: int, increments):
+        _check_dt(dt)
+        if not 0 <= level <= REFINE_DEPTH:
+            raise ValueError(f"noise path level must lie in [0, {REFINE_DEPTH}], got {level}")
+        increments = np.asarray(increments, dtype=np.float64)
+        if increments.ndim != 1 or len(increments) == 0:
+            raise ValueError(
+                f"noise increments must be a nonempty 1-D array, got shape {increments.shape}"
+            )
         self.seed = seed
         self.dt = dt
         self.level = level
-        self.increments = np.asarray(increments, dtype=np.float64)
+        self.increments = increments
         self.w = np.concatenate(([0.0], np.cumsum(self.increments)))
 
     @property
@@ -118,8 +134,7 @@ class NoisePath:
 
     @classmethod
     def generate(cls, seed: int, dt: float, n_steps: int) -> "NoisePath":
-        if dt <= 0.0:
-            raise ValueError("noise path needs dt > 0")
+        _check_dt(dt)  # before the draw, which takes sqrt(dt)
         if n_steps < 1:
             raise ValueError("noise path needs at least one step")
         return cls(seed, dt, 0, _draw(seed, dt, n_steps, REFINE_DEPTH))

@@ -46,6 +46,20 @@ class TestRunCommand:
         assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
         assert (out_a / "final.snap").read_bytes() == (out_b / "final.snap").read_bytes()
 
+    def test_stratonovich_default_dt_stays_bounded(self, tmp_path):
+        # with no dt, heun_strat used to derive 0.25 h^2, above its bound
+        # h^2 / pi^2: this run ended with grad_energy 1.3e122
+        cfg = write_cfg(tmp_path, (
+            "form = stratonovich_mcf\nn = 16\nT = 0.2\n"
+            "initial_condition = random_smooth:3,3\n"
+        ))
+        out = tmp_path / "strat"
+        assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_OK
+        rows = (out / "series.csv").read_text().splitlines()
+        first, last = (float(r.split(",")[1]) for r in (rows[1], rows[-1]))
+        assert first > 1e-3
+        assert last < 1e-6
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_exits_runtime(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -18,7 +18,7 @@ from smcflow.config import (
     to_model_form,
     RANDOM_SMOOTH_GRAD_BOUND,
 )
-from smcflow.dynamics import FormKind, default_dt
+from smcflow.dynamics import FormKind, default_dt, heun_default_dt
 from smcflow.grid import GridSpec, gradient
 
 TWO_PI = 2.0 * math.pi
@@ -29,7 +29,7 @@ class TestParse:
         cfg = parse_config("")
         assert cfg.form == "ito_mcf"
         assert cfg.n == 64
-        assert cfg.dt == resolve_dt(64, 0.1)
+        assert cfg.dt == resolve_dt(default_dt(64), 0.1)
         assert cfg.scheme == "em_imex"
         assert cfg.T == 0.1
         assert cfg.initial_condition == "flat:0.0"
@@ -37,7 +37,7 @@ class TestParse:
 
     def test_resolved_dt_divides_t_under_stability_proxy(self):
         for n, T in ((8, 0.1), (16, 0.02), (64, 0.1), (64, 1e-5)):
-            dt = resolve_dt(n, T)
+            dt = resolve_dt(default_dt(n), T)
             assert dt <= default_dt(n) or T < default_dt(n)
             m = round(T / dt)
             assert m >= 1
@@ -54,7 +54,7 @@ class TestParse:
             """
         )
         assert cfg.n == 32 and cfg.T == 0.05 and cfg.base_seed == 7
-        assert cfg.dt == resolve_dt(32, 0.05)
+        assert cfg.dt == resolve_dt(default_dt(32), 0.05)
 
     def test_line_errors(self):
         with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
@@ -75,6 +75,14 @@ class TestParse:
         assert parse_config("form = regularized").scheme == "em_imex"
         cfg = parse_config("form = stratonovich_mcf\nscheme = heun_strat")
         assert cfg.scheme == "heun_strat"
+
+    def test_heun_derived_dt_stays_under_its_bound(self):
+        # heun_strat is stable only for dt < h^2 / pi^2; em_imex keeps 0.25 h^2
+        for n, T in ((16, 0.2), (32, 0.1), (64, 0.01)):
+            cfg = parse_config(f"form = stratonovich_mcf\nn = {n}\nT = {T}")
+            assert cfg.dt == resolve_dt(heun_default_dt(n), T)
+            assert cfg.dt <= 0.05 / n**2 < 1.0 / (math.pi * n) ** 2
+            assert parse_config(f"n = {n}\nT = {T}").dt == resolve_dt(default_dt(n), T)
 
     def test_explicit_dt_kept(self):
         cfg = parse_config("dt = 0.001\nT = 0.1")

@@ -231,6 +231,24 @@ class TestWorkspace:
         assert np.all(ws.lap_sym <= 0.0)
         assert np.all(ws.polyharmonic_sym(2) >= 0.0)
 
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    def test_transforms_equal_numpy_fft_bitwise(self, n):
+        # forward/inverse call numpy's private pocketfft kernels; a numpy
+        # release that changes them must fail here rather than move a bit
+        ws = get_workspace(n)
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((4, n, n))
+        wh = np.fft.rfft2(rng.standard_normal((5, 4, n, n))) * (1.0 + 0.5j)
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+        # whole arrays, then views that are not contiguous
+        for values in (u[0], u, u[::2], u[:, 1:3], u.swapaxes(-1, -2)):
+            assert same(ws.forward(values), np.fft.rfft2(values))
+        for coeffs in (wh[0, 0], wh[0], wh, wh[:, 1], wh[::2, ::3]):
+            assert same(ws.inverse(coeffs), np.fft.irfft2(coeffs, s=(n, n)))
+
     def test_gradient_rejects_nan(self):
         grid = GridSpec(16)
         vals = np.zeros((16, 16))

@@ -130,6 +130,23 @@ class TestRefine:
         with pytest.raises(ValueError, match="nothing finer"):
             p.refine()
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
+    def test_bad_dt_is_rejected(self, dt):
+        with pytest.raises(ValueError, match="positive finite dt"):
+            NoisePath(0, dt, 0, np.zeros(4))
+        with pytest.raises(ValueError, match="positive finite dt"):
+            NoisePath.generate(0, dt, 4)
+
+    @pytest.mark.parametrize("level", [-1, REFINE_DEPTH + 1, 9])
+    def test_level_out_of_range_is_rejected(self, level):
+        with pytest.raises(ValueError, match="level must lie in"):
+            NoisePath(0, 1e-3, level, np.zeros(4))
+
+    @pytest.mark.parametrize("increments", [np.zeros(0), np.zeros((2, 4)), 0.5])
+    def test_empty_or_multidimensional_increments_are_rejected(self, increments):
+        with pytest.raises(ValueError, match="nonempty 1-D array"):
+            NoisePath(0, 1e-3, 0, increments)
+
     def test_refinement_preserves_endpoint(self):
         p = NoisePath.generate(13, 1e-3, 30)
         f = p.refine().refine()

@@ -4,7 +4,9 @@
 and classes; a rename or deletion there would otherwise surface only in the
 minutes-long ``pytest perfbench`` run. An import nothing references is
 caught by an AST scan of the package and the tests, and the option surface
-of the stepping and monitoring entry points is pinned by name.
+of the stepping and monitoring entry points is pinned by name. Another scan
+keeps every FFT inside ``grid.py``, behind the two workspace methods that the
+tracer counts and ``tests/test_grid.py`` pins to ``np.fft`` bit for bit.
 """
 import ast
 import dataclasses
@@ -96,3 +98,32 @@ def test_option_surface_is_pinned():
     assert params(record_path_sample) == ["u", "t"]
     assert params(gradient_inequality_check) == ["records_per_path", "eps", "dt", "min_paths"]
     assert params(NoisePath.__init__) == ["self", "seed", "dt", "level", "increments"]
+
+
+def fft_references(path):
+    """Uses of numpy's fft module in a file, as "file:line: what"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "fft" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.fft") or (
+                node.module == "numpy" and any(a.name == "fft" for a in node.names)
+            )
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.fft") for a in node.names)
+        else:
+            continue
+        if hit:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_transforms_stay_in_grid():
+    package = ROOT / "src" / "smcflow"
+    assert fft_references(package / "grid.py")  # the scan sees grid's own use
+    others = sorted(p for p in package.glob("*.py") if p.name != "grid.py")
+    assert others
+    assert [hit for path in others for hit in fft_references(path)] == []
