@@ -6,34 +6,30 @@ For a graph x3 = u(x1, x2) over the torus the basic quantities are
     w = grad u / H                  (tilt vector, |w| < 1 pointwise)
     v = div w                       (mean curvature of the graph)
 
-Everything in a :class:`GeometryBundle` is derived from a single gradient
-evaluation with one differentiation method, so the members are mutually
-consistent; mixing methods between members is structurally impossible.
+Every member of a :class:`GeometryArrays` pass is derived from a single
+gradient evaluation with one differentiation method, so the members are
+mutually consistent. The identity functions read one pass and return arrays
+or floats; :func:`cofactor_flux_residual`, which differentiates again, takes
+the method and builds its own pass, so mixing methods is impossible there too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .grid import (
     DiffMethod,
-    GridSpec,
     ScalarField,
-    SymTensorField,
-    VectorField,
     div_central2,
-    div_spectral,
+    divergence,
     get_workspace,
     grad_central2,
     grad_hess_spectral_hat,
     hess_central2,
-    integrate,
 )
 
 __all__ = [
-    "GeometryBundle",
     "GeometryArrays",
     "geometry_bundle",
     "mcf_operator",
@@ -51,26 +47,13 @@ __all__ = [
 _H_PROFILE_TAYLOR_CUT = 1e-4
 
 
-@dataclass
-class GeometryBundle:
-    """Geometric state of one field, all members from one method."""
-
-    grid: GridSpec
-    method: DiffMethod
-    grad: VectorField
-    H: ScalarField
-    w: VectorField
-    v: ScalarField
-    hess: SymTensorField
-    # dw[i][j] = d w_i / d x_j, stored as four arrays
-    dw11: np.ndarray
-    dw12: np.ndarray
-    dw21: np.ndarray
-    dw22: np.ndarray
-
-
 class GeometryArrays(NamedTuple):
-    """The members of a geometry pass over a (P, n, n) batch, as bare arrays."""
+    """The members of one geometry pass, as bare arrays.
+
+    g = grad u, w = g / H, a = D^2 u (a12 = a21) and dwij = d w_i / d x_j.
+    Each member has the shape of the input: (n, n) for one field, (P, n, n)
+    for a batch.
+    """
 
     g1: np.ndarray
     g2: np.ndarray
@@ -87,18 +70,28 @@ class GeometryArrays(NamedTuple):
     dw22: np.ndarray
 
 
-def _geometry_arrays(values: np.ndarray, method: DiffMethod) -> GeometryArrays:
-    n = values.shape[-1]
+def geometry_bundle(
+    u: ScalarField | np.ndarray, method: DiffMethod = DiffMethod.SPECTRAL
+) -> GeometryArrays:
+    """Compute grad u, H, w, v, the Hessian of u and Dw in one pass.
+
+    ``u`` is a (P, n, n) array of P fields on one grid, or one field; for a
+    field the members are the (n, n) row of the batch of one, so they equal
+    the batch rows bit for bit.
+    """
+    if isinstance(u, ScalarField):
+        return GeometryArrays(*(x[0] for x in geometry_bundle(u.values[None], method)))
+    n = u.shape[-1]
     spectral = method is DiffMethod.SPECTRAL
     if spectral:
         ws = get_workspace(n)
-        d = grad_hess_spectral_hat(ws.forward(values), ws)
+        d = grad_hess_spectral_hat(ws.forward(u), ws)
         grad = d[:2]
         a11, a12, a22 = d[2:]
     else:
         h = 1.0 / n
-        grad = np.stack(grad_central2(values, h))
-        a11, a12, a22 = hess_central2(values, h)
+        grad = np.stack(grad_central2(u, h))
+        a11, a12, a22 = hess_central2(u, h)
     g1, g2 = grad
     hvals = np.sqrt(1.0 + g1 * g1 + g2 * g2)
     w = grad / hvals
@@ -115,70 +108,38 @@ def _geometry_arrays(values: np.ndarray, method: DiffMethod) -> GeometryArrays:
     return GeometryArrays(g1, g2, hvals, w1, w2, vvals, a11, a12, a22, *dw)
 
 
-def geometry_bundle(u: ScalarField | np.ndarray, method: DiffMethod = DiffMethod.SPECTRAL):
-    """Compute H, w, v, the Hessian of u and Dw.
-
-    ``u`` is one field, giving a :class:`GeometryBundle`, or a (P, n, n)
-    array of P fields on one grid, giving :class:`GeometryArrays` whose rows
-    equal the one-field bundles bit for bit.
-    """
-    if isinstance(u, np.ndarray):
-        return _geometry_arrays(u, method)
-    grid = u.grid
-    a = GeometryArrays(*(x[0] for x in _geometry_arrays(u.values[None], method)))
-    return GeometryBundle(
-        grid=grid,
-        method=method,
-        grad=VectorField(grid, a.g1, a.g2),
-        H=ScalarField(grid, a.H),
-        w=VectorField(grid, a.w1, a.w2),
-        v=ScalarField(grid, a.v),
-        hess=SymTensorField(grid, a.a11, a.a12, a.a22),
-        dw11=a.dw11,
-        dw12=a.dw12,
-        dw21=a.dw21,
-        dw22=a.dw22,
-    )
-
-
-def mcf_operator(b: GeometryBundle) -> ScalarField:
+def mcf_operator(b: GeometryArrays) -> np.ndarray:
     """Mean curvature flow velocity H * v."""
-    return ScalarField(b.grid, b.H.values * b.v.values)
+    return b.H * b.v
 
 
-def strat_correction(b: GeometryBundle) -> ScalarField:
+def strat_correction(b: GeometryArrays) -> np.ndarray:
     """(1/2) w^T D^2u w, the drift shift between the two Ito forms."""
-    w1, w2 = b.w.x1, b.w.x2
-    hs = b.hess
-    return ScalarField(
-        b.grid,
-        0.5 * (w1 * w1 * hs.a11 + 2.0 * w1 * w2 * hs.a12 + w2 * w2 * hs.a22),
-    )
+    w1, w2 = b.w1, b.w2
+    return 0.5 * (w1 * w1 * b.a11 + 2.0 * w1 * w2 * b.a12 + w2 * w2 * b.a22)
 
 
-def anisotropic_operator(b: GeometryBundle) -> ScalarField:
+def anisotropic_operator(b: GeometryArrays) -> np.ndarray:
     """(Id - w tensor w) : D^2 u = Lap u - w^T D^2u w, equal to H*v."""
-    hs = b.hess
-    lap = hs.a11 + hs.a22
-    return ScalarField(b.grid, lap - 2.0 * strat_correction(b).values)
+    return b.a11 + b.a22 - 2.0 * strat_correction(b)
 
 
-def gaussian_curvature(b: GeometryBundle) -> ScalarField:
+def gaussian_curvature(b: GeometryArrays) -> np.ndarray:
     """det(D^2 u) / H^4."""
-    hs = b.hess
-    det = hs.a11 * hs.a22 - hs.a12 * hs.a12
-    h2 = b.H.values * b.H.values
-    return ScalarField(b.grid, det / (h2 * h2))
+    det = b.a11 * b.a22 - b.a12 * b.a12
+    h2 = b.H * b.H
+    return det / (h2 * h2)
 
 
-def det_dw(b: GeometryBundle) -> ScalarField:
+def det_dw(b: GeometryArrays) -> np.ndarray:
     """det(Dw): the Gaussian curvature computed through the tilt map."""
-    return ScalarField(b.grid, b.dw11 * b.dw22 - b.dw12 * b.dw21)
+    return b.dw11 * b.dw22 - b.dw12 * b.dw21
 
 
-def gauss_bonnet_residual(b: GeometryBundle) -> float:
-    """integral of det(Dw) * H over the torus; zero in the continuum."""
-    return integrate(ScalarField(b.grid, det_dw(b).values * b.H.values))
+def gauss_bonnet_residual(b: GeometryArrays) -> float:
+    """integral of det(Dw) * H over the torus for one field; zero in the continuum."""
+    h = 1.0 / b.H.shape[-1]
+    return float(h * h * np.sum(det_dw(b) * b.H))
 
 
 def h_profile(z1: np.ndarray, z2: np.ndarray):
@@ -201,7 +162,7 @@ def h_profile(z1: np.ndarray, z2: np.ndarray):
     return coef * z1, coef * z2
 
 
-def cofactor_flux_residual(b: GeometryBundle) -> float:
+def cofactor_flux_residual(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> float:
     """Max-norm residual of div(cof(Dw)^T 2h(w)) = det(Dw) * H.
 
     For any smooth map w into the unit disc, div(cof(Dw)^T a(w)) equals
@@ -209,15 +170,13 @@ def cofactor_flux_residual(b: GeometryBundle) -> float:
     flux divergence must match det(Dw) * H pointwise. The left side is a pure
     divergence, which gives an independent route to the vanishing of the
     Gauss-Bonnet integrand's mean; the pointwise residual decays under
-    refinement at the order of the differentiation method.
+    refinement at the order of the differentiation method, which serves both
+    the geometry pass of u and the flux divergence.
     """
-    h1, h2 = h_profile(b.w.x1, b.w.x2)
+    b = geometry_bundle(u, method)
+    h1, h2 = h_profile(b.w1, b.w2)
     # cof(Dw)^T = [[dw22, -dw12], [-dw21, dw11]], applied to 2h(w)
     p1 = 2.0 * (b.dw22 * h1 - b.dw12 * h2)
     p2 = 2.0 * (-b.dw21 * h1 + b.dw11 * h2)
-    if b.method is DiffMethod.SPECTRAL:
-        div_p = div_spectral(np.stack([p1, p2]), get_workspace(b.grid.n))
-    else:
-        div_p = div_central2(p1, p2, b.grid.h)
-    target = det_dw(b).values * b.H.values
-    return float(np.max(np.abs(div_p - target)))
+    div_p = divergence(np.stack([p1, p2]), method)
+    return float(np.max(np.abs(div_p - det_dw(b) * b.H)))

@@ -28,8 +28,6 @@ __all__ = [
     "DiffMethod",
     "GridSpec",
     "ScalarField",
-    "VectorField",
-    "SymTensorField",
     "SpectralWorkspace",
     "get_workspace",
     "gradient",
@@ -68,50 +66,22 @@ class GridSpec:
         return np.meshgrid(x, x, indexing="ij")
 
 
-def _as_values(values, n):
-    a = np.asarray(values, dtype=np.float64)
-    if a.shape != (n, n):
-        raise ValueError(f"field values must have shape {(n, n)}, got {a.shape}")
-    return a
-
-
 @dataclass
 class ScalarField:
+    """One field on a grid; vectors and tensors are stacked bare arrays."""
+
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_values(self.values, self.grid.n)
+        n = self.grid.n
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape != (n, n):
+            raise ValueError(f"field values must have shape {(n, n)}, got {self.values.shape}")
 
     @classmethod
     def constant(cls, grid: GridSpec, c: float) -> "ScalarField":
         return cls(grid, np.full((grid.n, grid.n), float(c)))
-
-
-@dataclass
-class VectorField:
-    grid: GridSpec
-    x1: np.ndarray
-    x2: np.ndarray
-
-    def __post_init__(self):
-        self.x1 = _as_values(self.x1, self.grid.n)
-        self.x2 = _as_values(self.x2, self.grid.n)
-
-
-@dataclass
-class SymTensorField:
-    """Symmetric 2x2 tensor field; components a11, a12 (= a21), a22."""
-
-    grid: GridSpec
-    a11: np.ndarray
-    a12: np.ndarray
-    a22: np.ndarray
-
-    def __post_init__(self):
-        self.a11 = _as_values(self.a11, self.grid.n)
-        self.a12 = _as_values(self.a12, self.grid.n)
-        self.a22 = _as_values(self.a22, self.grid.n)
 
 
 # gufunc axes of a 1-D transform along the second to last axis: input,
@@ -265,47 +235,45 @@ def hess_central2(values, h):
 # ---------------------------------------------------------------------------
 # public operators
 
-def gradient(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> VectorField:
-    """Periodic gradient of u; axis 0 differentiates in x1."""
+def gradient(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> np.ndarray:
+    """Periodic gradient of u, stacked as (2, n, n); row 0 differentiates in x1."""
     _require_finite(u.values, "gradient input")
     if method is DiffMethod.SPECTRAL:
         ws = get_workspace(u.grid.n)
-        g1, g2 = grad_spectral_hat(ws.forward(u.values), ws)[:, 0]
-    else:
-        g1, g2 = grad_central2(u.values, u.grid.h)
-    return VectorField(u.grid, g1, g2)
+        return grad_spectral_hat(ws.forward(u.values), ws)[:, 0]
+    return np.stack(grad_central2(u.values, u.grid.h))
 
 
-def divergence(f: VectorField, method: DiffMethod = DiffMethod.SPECTRAL) -> ScalarField:
-    _require_finite(f.x1, "divergence input")
-    _require_finite(f.x2, "divergence input")
+def divergence(f: np.ndarray, method: DiffMethod = DiffMethod.SPECTRAL) -> np.ndarray:
+    """Divergence of a vector field stacked as (2, n, n), the layout of gradient."""
+    n = f.shape[-1]
+    if f.shape != (2, n, n):
+        raise ValueError(f"divergence needs a (2, n, n) stack, got shape {f.shape}")
+    _require_finite(f, "divergence input")
     if method is DiffMethod.SPECTRAL:
-        d = div_spectral(np.stack([f.x1, f.x2]), get_workspace(f.grid.n))
-    else:
-        d = div_central2(f.x1, f.x2, f.grid.h)
-    return ScalarField(f.grid, d)
+        return div_spectral(f, get_workspace(n))
+    return div_central2(f[0], f[1], 1.0 / n)
 
 
-def laplacian(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> ScalarField:
-    """Laplacian; by construction equal to the trace of hessian(u, method)."""
+def laplacian(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> np.ndarray:
+    """Laplacian of u; equal to the trace of hessian(u, method) up to rounding
+    (bitwise for central2).
+    """
     _require_finite(u.values, "laplacian input")
     if method is DiffMethod.SPECTRAL:
         ws = get_workspace(u.grid.n)
-        out = ws.inverse(ws.lap_sym * ws.forward(u.values))
-    else:
-        a11, _, a22 = hess_central2(u.values, u.grid.h)
-        out = a11 + a22
-    return ScalarField(u.grid, out)
+        return ws.inverse(ws.lap_sym * ws.forward(u.values))
+    a11, _, a22 = hess_central2(u.values, u.grid.h)
+    return a11 + a22
 
 
-def hessian(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> SymTensorField:
+def hessian(u: ScalarField, method: DiffMethod = DiffMethod.SPECTRAL) -> np.ndarray:
+    """Hessian of u stacked as (3, n, n): a11, a12 (= a21), a22."""
     _require_finite(u.values, "hessian input")
     if method is DiffMethod.SPECTRAL:
         ws = get_workspace(u.grid.n)
-        _, _, a11, a12, a22 = grad_hess_spectral_hat(ws.forward(u.values), ws)[:, 0]
-    else:
-        a11, a12, a22 = hess_central2(u.values, u.grid.h)
-    return SymTensorField(u.grid, a11, a12, a22)
+        return grad_hess_spectral_hat(ws.forward(u.values), ws)[2:, 0]
+    return np.stack(hess_central2(u.values, u.grid.h))
 
 
 def integrate(u: ScalarField) -> float:
@@ -314,10 +282,7 @@ def integrate(u: ScalarField) -> float:
     return float(h * h * np.sum(u.values))
 
 
-def l2_norm_sq(u) -> float:
-    """Squared L2 norm; accepts a ScalarField or a VectorField."""
-    if isinstance(u, VectorField):
-        h = u.grid.h
-        return float(h * h * (np.sum(u.x1 * u.x1) + np.sum(u.x2 * u.x2)))
+def l2_norm_sq(u: ScalarField) -> float:
+    """Squared L2 norm of a field."""
     h = u.grid.h
     return float(h * h * np.sum(u.values * u.values))

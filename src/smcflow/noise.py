@@ -70,6 +70,12 @@ def _check_dt(dt: float):
         raise ValueError(f"noise path needs a positive finite dt, got {dt}")
 
 
+def _check_seed(seed: int):
+    # derive_key keeps 64 bits, so a seed outside would replay one inside
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"noise path seed must lie in [0, 2^64), got {seed}")
+
+
 def _fold(fine: np.ndarray, times: int) -> np.ndarray:
     """Coarsen by pairwise sums, one dyadic level per round."""
     out = fine
@@ -114,6 +120,7 @@ class NoisePath:
     """
 
     def __init__(self, seed: int, dt: float, level: int, increments):
+        _check_seed(seed)
         _check_dt(dt)
         if not 0 <= level <= REFINE_DEPTH:
             raise ValueError(f"noise path level must lie in [0, {REFINE_DEPTH}], got {level}")
@@ -134,7 +141,8 @@ class NoisePath:
 
     @classmethod
     def generate(cls, seed: int, dt: float, n_steps: int) -> "NoisePath":
-        _check_dt(dt)  # before the draw, which takes sqrt(dt)
+        _check_seed(seed)  # before the draw, which would mask it to 64 bits
+        _check_dt(dt)  # and takes sqrt(dt)
         if n_steps < 1:
             raise ValueError("noise path needs at least one step")
         return cls(seed, dt, 0, _draw(seed, dt, n_steps, REFINE_DEPTH))

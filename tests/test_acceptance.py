@@ -93,16 +93,16 @@ def test_criterion_01_graph_geometry_identities():
     for seed in range(20):
         u = random_smooth_field(GridSpec(64), seed, 4.0)
         b = geometry_bundle(u)
-        w1, w2 = b.w.x1, b.w.x2
+        w1, w2 = b.w1, b.w2
         h_from_w = 1.0 / np.sqrt(1.0 - w1 * w1 - w2 * w2)
-        worst_h = max(worst_h, float(np.max(np.abs(h_from_w - b.H.values))))
+        worst_h = max(worst_h, float(np.max(np.abs(h_from_w - b.H))))
         det_proj = (1.0 - w1 * w1) * (1.0 - w2 * w2) - (w1 * w2) ** 2
         worst_det = max(
-            worst_det, float(np.max(np.abs(det_proj - 1.0 / b.H.values**2)))
+            worst_det, float(np.max(np.abs(det_proj - 1.0 / b.H**2)))
         )
-        lap = b.hess.a11 + b.hess.a22
-        lhs = 0.5 * lap + 0.5 * mcf_operator(b).values
-        rhs = lap - strat_correction(b).values
+        lap = b.a11 + b.a22
+        lhs = 0.5 * lap + 0.5 * mcf_operator(b)
+        rhs = lap - strat_correction(b)
         worst_drift = max(worst_drift, float(np.max(np.abs(lhs - rhs))))
     print(f"crit01: H gap {worst_h:.3e}  det gap {worst_det:.3e}  "
           f"drift gap {worst_drift:.3e}")
@@ -115,7 +115,7 @@ def test_criterion_01_graph_geometry_identities():
     for n in (32, 64, 128):
         u = random_smooth_field(GridSpec(n), 0, 4.0)
         b = geometry_bundle(u, DiffMethod.CENTRAL2)
-        errs.append(float(np.max(np.abs(gaussian_curvature(b).values - det_dw(b).values))))
+        errs.append(float(np.max(np.abs(gaussian_curvature(b) - det_dw(b)))))
     order = 0.5 * math.log2(errs[0] / errs[2])
     print(f"crit01: curvature-route errs {errs}  order {order:.3f}")
     assert order >= 1.8

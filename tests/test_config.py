@@ -224,7 +224,7 @@ class TestRandomSmooth:
         for seed in (0, 11, 202):
             u = random_smooth_field(grid, seed, 4.0)
             g = gradient(u)
-            sup = float(np.max(np.sqrt(g.x1**2 + g.x2**2)))
+            sup = float(np.max(np.sqrt(g[0]**2 + g[1]**2)))
             assert 0.05 <= sup <= RANDOM_SMOOTH_GRAD_BOUND
 
     def test_refinement_samples_same_function(self):

@@ -16,7 +16,7 @@ from smcflow.geometry import (
     mcf_operator,
     strat_correction,
 )
-from smcflow.grid import DiffMethod, GridSpec, ScalarField, laplacian
+from smcflow.grid import DiffMethod, GridSpec, ScalarField, divergence, laplacian
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,40 +30,40 @@ def bundles_over_seeds(n=64, seeds=(0, 1, 2, 3), method=DiffMethod.SPECTRAL):
 def test_area_density_identities():
     # H = sqrt(1 + |grad u|^2) and H = (1 - |w|^2)^(-1/2) must agree pointwise
     for b in bundles_over_seeds():
-        w2 = b.w.x1**2 + b.w.x2**2
-        assert np.max(np.abs(b.H.values - (1.0 - w2) ** -0.5)) <= 1e-12
-        assert np.all(b.H.values >= 1.0)
+        w2 = b.w1**2 + b.w2**2
+        assert np.max(np.abs(b.H - (1.0 - w2) ** -0.5)) <= 1e-12
+        assert np.all(b.H >= 1.0)
         assert np.max(w2) < 1.0
 
 
 def test_tilt_magnitude_identity():
     # |w| * H = |grad u|
     for b in bundles_over_seeds():
-        gn = np.hypot(b.grad.x1, b.grad.x2)
-        wn = np.hypot(b.w.x1, b.w.x2)
-        assert np.max(np.abs(wn * b.H.values - gn)) <= 1e-12
+        gn = np.hypot(b.g1, b.g2)
+        wn = np.hypot(b.w1, b.w2)
+        assert np.max(np.abs(wn * b.H - gn)) <= 1e-12
 
 
 def test_projection_determinant():
     # det(Id - w tensor w) = 1 - |w|^2 = 1/H^2
     for b in bundles_over_seeds():
-        w1, w2 = b.w.x1, b.w.x2
+        w1, w2 = b.w1, b.w2
         det = (1.0 - w1 * w1) * (1.0 - w2 * w2) - (w1 * w2) ** 2
-        assert np.max(np.abs(det - 1.0 / b.H.values**2)) <= 1e-12
+        assert np.max(np.abs(det - 1.0 / b.H**2)) <= 1e-12
 
 
 def test_drift_identity_spectral():
     # (1/2) Lap u + (1/2) H v == Lap u - (1/2) w^T D^2u w pointwise
     for b in bundles_over_seeds():
-        lap = b.hess.a11 + b.hess.a22
-        lhs = 0.5 * lap + 0.5 * mcf_operator(b).values
-        rhs = lap - strat_correction(b).values
+        lap = b.a11 + b.a22
+        lhs = 0.5 * lap + 0.5 * mcf_operator(b)
+        rhs = lap - strat_correction(b)
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
 def test_mcf_equals_anisotropic_operator():
     for b in bundles_over_seeds(seeds=(5, 6)):
-        gap = np.max(np.abs(mcf_operator(b).values - anisotropic_operator(b).values))
+        gap = np.max(np.abs(mcf_operator(b) - anisotropic_operator(b)))
         assert gap <= 1e-8
 
 
@@ -77,7 +77,7 @@ def test_strat_correction_single_mode_oracle():
     g = a * TWO_PI * np.cos(TWO_PI * x1)
     uxx = -a * TWO_PI**2 * np.sin(TWO_PI * x1)
     expected = 0.5 * (g**2 / (1.0 + g**2)) * uxx
-    assert np.max(np.abs(strat_correction(b).values - expected)) <= 1e-10
+    assert np.max(np.abs(strat_correction(b) - expected)) <= 1e-10
 
 
 def test_gaussian_curvature_critical_point():
@@ -87,19 +87,19 @@ def test_gaussian_curvature_critical_point():
     x1, x2 = grid.nodes()
     u = ScalarField(grid, np.sin(TWO_PI * x1) * np.sin(TWO_PI * x2))
     k = gaussian_curvature(geometry_bundle(u))
-    assert k.values[16, 16] == pytest.approx(16.0 * math.pi**4, rel=1e-10)
+    assert k[16, 16] == pytest.approx(16.0 * math.pi**4, rel=1e-10)
 
 
 def test_gaussian_curvature_flat():
     b = geometry_bundle(ScalarField.constant(GridSpec(32), 0.7))
-    assert np.all(gaussian_curvature(b).values == 0.0)
-    assert np.all(det_dw(b).values == 0.0)
+    assert np.all(gaussian_curvature(b) == 0.0)
+    assert np.all(det_dw(b) == 0.0)
     assert gauss_bonnet_residual(b) == 0.0
 
 
 def test_det_dw_matches_curvature_spectral():
     for b in bundles_over_seeds(seeds=(0, 1)):
-        gap = np.max(np.abs(gaussian_curvature(b).values - det_dw(b).values))
+        gap = np.max(np.abs(gaussian_curvature(b) - det_dw(b)))
         assert gap <= 1e-11
 
 
@@ -108,7 +108,7 @@ def test_det_dw_matches_curvature_central2_order():
     for n in (32, 64, 128):
         u = random_smooth_field(GridSpec(n), 0, 4.0)
         b = geometry_bundle(u, DiffMethod.CENTRAL2)
-        errs.append(np.max(np.abs(gaussian_curvature(b).values - det_dw(b).values)))
+        errs.append(np.max(np.abs(gaussian_curvature(b) - det_dw(b))))
     span_order = 0.5 * math.log2(errs[0] / errs[2])
     assert span_order >= 1.8
 
@@ -136,13 +136,27 @@ def test_gauss_bonnet_central2_refinement():
 
 def test_v_is_divergence_of_tilt():
     # v must come from the same differentiation route as the rest of the bundle
-    from smcflow.grid import VectorField, divergence
-
     for method in (DiffMethod.SPECTRAL, DiffMethod.CENTRAL2):
         u = random_smooth_field(GridSpec(32), 9, 4.0)
         b = geometry_bundle(u, method)
-        again = divergence(VectorField(b.grid, b.w.x1, b.w.x2), method)
-        np.testing.assert_array_equal(b.v.values, again.values)
+        again = divergence(np.stack([b.w1, b.w2]), method)
+        np.testing.assert_array_equal(b.v, again)
+
+
+@pytest.mark.parametrize("method", list(DiffMethod))
+def test_one_field_pass_is_row_of_batch(method):
+    # record_path_sample relies on the one-field pass equalling the batch
+    # rows bit for bit: row 0 of a batch of one, and that field's row of a
+    # larger batch
+    grid = GridSpec(32)
+    fields = [random_smooth_field(grid, seed, 4.0) for seed in (7, 8, 9)]
+    one = geometry_bundle(fields[1], method)
+    of_one = geometry_bundle(fields[1].values[None], method)
+    of_three = geometry_bundle(np.stack([f.values for f in fields]), method)
+    for name, a, b, c in zip(one._fields, one, of_one, of_three):
+        assert a.shape == (32, 32), name
+        assert a.tobytes() == b[0].tobytes(), name
+        assert a.tobytes() == c[1].tobytes(), name
 
 
 class TestHProfile:
@@ -185,14 +199,13 @@ class TestHProfile:
 class TestCofactorFlux:
     def test_spectral_residual_small(self):
         u = random_smooth_field(GridSpec(64), 0, 4.0)
-        assert cofactor_flux_residual(geometry_bundle(u)) <= 1e-10
+        assert cofactor_flux_residual(u) <= 1e-10
 
     def test_central2_residual_decays(self):
         errs = []
         for n in (32, 64, 128):
             u = random_smooth_field(GridSpec(n), 0, 4.0)
-            b = geometry_bundle(u, DiffMethod.CENTRAL2)
-            errs.append(cofactor_flux_residual(b))
+            errs.append(cofactor_flux_residual(u, DiffMethod.CENTRAL2))
         assert errs[0] > errs[1] > errs[2]
         assert 0.5 * math.log2(errs[0] / errs[2]) >= 1.7
 
@@ -201,7 +214,7 @@ def test_laplacian_equals_hessian_trace_in_bundle():
     u = random_smooth_field(GridSpec(32), 4, 4.0)
     b = geometry_bundle(u)
     lap = laplacian(u)
-    assert np.max(np.abs(lap.values - (b.hess.a11 + b.hess.a22))) <= 1e-10
+    assert np.max(np.abs(lap - (b.a11 + b.a22))) <= 1e-10
 
 
 if __name__ == "__main__":

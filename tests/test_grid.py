@@ -8,7 +8,6 @@ from smcflow.grid import (
     DiffMethod,
     GridSpec,
     ScalarField,
-    VectorField,
     divergence,
     get_workspace,
     gradient,
@@ -65,10 +64,10 @@ class TestFieldContainers:
         f = ScalarField(grid, np.ones((16, 16), dtype=np.float32))
         assert f.values.dtype == np.float64
 
-    def test_vector_shape_check(self):
-        grid = GridSpec(16)
+    @pytest.mark.parametrize("shape", [(2, 16, 8), (3, 16, 16), (16, 16)])
+    def test_divergence_needs_a_vector_stack(self, shape):
         with pytest.raises(ValueError, match="shape"):
-            VectorField(grid, np.zeros((16, 16)), np.zeros((8, 16)))
+            divergence(np.zeros(shape))
 
     def test_tensor_linf_sees_off_diagonal(self):
         zero = np.zeros((2, 16, 16))
@@ -85,40 +84,40 @@ class TestSpectralDerivatives:
         g = gradient(u)
         x1, _ = u.grid.nodes()
         expected = TWO_PI * np.cos(TWO_PI * x1)
-        np.testing.assert_allclose(g.x1, expected, atol=1e-12)
-        np.testing.assert_allclose(g.x2, 0.0, atol=1e-12)
+        np.testing.assert_allclose(g[0], expected, atol=1e-12)
+        np.testing.assert_allclose(g[1], 0.0, atol=1e-12)
 
     def test_gradient_mixed_mode(self):
         u = sine_field(32, kx=2, ky=3)
         g = gradient(u)
         x1, x2 = u.grid.nodes()
         c = np.cos(TWO_PI * (2 * x1 + 3 * x2))
-        np.testing.assert_allclose(g.x1, 2 * TWO_PI * c, atol=1e-11)
-        np.testing.assert_allclose(g.x2, 3 * TWO_PI * c, atol=1e-11)
+        np.testing.assert_allclose(g[0], 2 * TWO_PI * c, atol=1e-11)
+        np.testing.assert_allclose(g[1], 3 * TWO_PI * c, atol=1e-11)
 
     def test_laplacian_single_mode(self):
         u = sine_field(64, kx=3)
         lap = laplacian(u)
         np.testing.assert_allclose(
-            lap.values, -((3 * TWO_PI) ** 2) * u.values, atol=1e-9
+            lap, -((3 * TWO_PI) ** 2) * u.values, atol=1e-9
         )
 
     def test_hessian_cross_term(self):
         u = sine_field(32, kx=1, ky=2)
-        h = hessian(u)
+        a11, a12, a22 = hessian(u)
         x1, x2 = u.grid.nodes()
         s = np.sin(TWO_PI * (x1 + 2 * x2))
-        np.testing.assert_allclose(h.a12, -2 * TWO_PI**2 * s, atol=1e-10)
-        np.testing.assert_allclose(h.a11, -(TWO_PI**2) * s, atol=1e-10)
-        np.testing.assert_allclose(h.a22, -4 * TWO_PI**2 * s, atol=1e-10)
+        np.testing.assert_allclose(a12, -2 * TWO_PI**2 * s, atol=1e-10)
+        np.testing.assert_allclose(a11, -(TWO_PI**2) * s, atol=1e-10)
+        np.testing.assert_allclose(a22, -4 * TWO_PI**2 * s, atol=1e-10)
 
     def test_laplacian_is_hessian_trace(self):
         rng = np.random.default_rng(7)
         grid = GridSpec(32)
         u = ScalarField(grid, rng.standard_normal((32, 32)))
         lap = laplacian(u)
-        h = hessian(u)
-        np.testing.assert_allclose(lap.values, h.a11 + h.a22, rtol=0, atol=1e-9)
+        a11, _, a22 = hessian(u)
+        np.testing.assert_allclose(lap, a11 + a22, rtol=0, atol=1e-9)
 
     def test_div_grad_equals_laplacian(self):
         """Identity holds on Nyquist-free data; first derivatives drop that mode."""
@@ -131,8 +130,8 @@ class TestSpectralDerivatives:
         u = ScalarField(grid, ws.inverse(coeffs))
         d = divergence(gradient(u))
         lap = laplacian(u)
-        tol = 1e-12 * np.max(np.abs(lap.values))
-        np.testing.assert_allclose(d.values, lap.values, atol=tol)
+        tol = 1e-12 * np.max(np.abs(lap))
+        np.testing.assert_allclose(d, lap, atol=tol)
 
     def test_nyquist_mode_has_zero_gradient(self):
         """The sawtooth (-1)^i carries no usable odd derivative; it is dropped."""
@@ -140,8 +139,8 @@ class TestSpectralDerivatives:
         i = np.arange(16)
         u = ScalarField(grid, ((-1.0) ** i)[:, None] * np.ones((1, 16)))
         g = gradient(u)
-        np.testing.assert_allclose(g.x1, 0.0, atol=1e-13)
-        np.testing.assert_allclose(g.x2, 0.0, atol=1e-13)
+        np.testing.assert_allclose(g[0], 0.0, atol=1e-13)
+        np.testing.assert_allclose(g[1], 0.0, atol=1e-13)
 
 
 class TestCentralDifferences:
@@ -151,7 +150,7 @@ class TestCentralDifferences:
             u = sine_field(n, kx=1)
             g = gradient(u, DiffMethod.CENTRAL2)
             x1, _ = u.grid.nodes()
-            errs.append(np.max(np.abs(g.x1 - TWO_PI * np.cos(TWO_PI * x1))))
+            errs.append(np.max(np.abs(g[0] - TWO_PI * np.cos(TWO_PI * x1))))
         order = math.log2(errs[0] / errs[1])
         assert order > 1.9
 
@@ -160,15 +159,15 @@ class TestCentralDifferences:
         for n in (32, 64):
             u = sine_field(n, kx=1, ky=1)
             lap = laplacian(u, DiffMethod.CENTRAL2)
-            errs.append(np.max(np.abs(lap.values + 2 * TWO_PI**2 * u.values)))
+            errs.append(np.max(np.abs(lap + 2 * TWO_PI**2 * u.values)))
         order = math.log2(errs[0] / errs[1])
         assert order > 1.9
 
     def test_hessian_trace_matches_laplacian(self):
         u = sine_field(32, kx=2, ky=1)
-        h = hessian(u, DiffMethod.CENTRAL2)
+        a11, _, a22 = hessian(u, DiffMethod.CENTRAL2)
         lap = laplacian(u, DiffMethod.CENTRAL2)
-        np.testing.assert_allclose(h.a11 + h.a22, lap.values, atol=1e-10)
+        np.testing.assert_allclose(a11 + a22, lap, atol=1e-10)
 
 
 class TestImplicitSolve:
@@ -211,13 +210,6 @@ class TestQuadrature:
         assert abs(integrate(ScalarField(grid, s * c))) < 1e-15
         # discrete orthogonality makes \int sin^2 exactly 1/2
         assert l2_norm_sq(ScalarField(grid, s)) == pytest.approx(0.5, abs=1e-14)
-
-    def test_l2_norm_sq_vector(self):
-        grid = GridSpec(32)
-        x1, _ = grid.nodes()
-        f = VectorField(grid, np.sin(TWO_PI * x1), np.cos(TWO_PI * x1))
-        # sin^2 + cos^2 integrates to exactly 1
-        assert l2_norm_sq(f) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestWorkspace:

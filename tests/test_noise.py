@@ -137,6 +137,19 @@ class TestRefine:
         with pytest.raises(ValueError, match="positive finite dt"):
             NoisePath.generate(0, dt, 4)
 
+    @pytest.mark.parametrize("seed", [2**64 + 5, 2**64, -1])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        # keys hold 64 bits: 2^64 + 5 would replay seed 5, -1 seed 2^64 - 1
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            NoisePath.generate(seed, 1e-3, 8)
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            NoisePath(seed, 1e-3, 0, np.zeros(4))
+
+    def test_seed_range_ends_are_accepted(self):
+        top = NoisePath.generate(2**64 - 1, 1e-3, 8)
+        assert not np.array_equal(top.increments, NoisePath.generate(0, 1e-3, 8).increments)
+        assert top.refine().n_steps == 16
+
     @pytest.mark.parametrize("level", [-1, REFINE_DEPTH + 1, 9])
     def test_level_out_of_range_is_rejected(self, level):
         with pytest.raises(ValueError, match="level must lie in"):

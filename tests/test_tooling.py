@@ -4,9 +4,10 @@
 and classes; a rename or deletion there would otherwise surface only in the
 minutes-long ``pytest perfbench`` run. An import nothing references is
 caught by an AST scan of the package and the tests, and the option surface
-of the stepping and monitoring entry points is pinned by name. Another scan
-keeps every FFT inside ``grid.py``, behind the two workspace methods that the
-tracer counts and ``tests/test_grid.py`` pins to ``np.fft`` bit for bit.
+of the stepping, monitoring, geometry and grid entry points is pinned by
+name. Another scan keeps every FFT inside ``grid.py``, behind the two
+workspace methods that the tracer counts and ``tests/test_grid.py`` pins to
+``np.fft`` bit for bit.
 """
 import ast
 import dataclasses
@@ -15,7 +16,8 @@ import inspect
 from pathlib import Path
 
 from smcflow.dynamics import EmImexStepper, HeunStratStepper
-from smcflow.geometry import geometry_bundle
+from smcflow.geometry import cofactor_flux_residual, geometry_bundle
+from smcflow.grid import divergence, gradient, hessian, laplacian
 from smcflow.harness import ModelConfig
 from smcflow.monitors import MartingaleTracker, gradient_inequality_check, record_path_sample
 from smcflow.noise import NoisePath
@@ -95,6 +97,10 @@ def test_option_surface_is_pinned():
     assert params(HeunStratStepper.step) == ["self", "state"]
     assert params(MartingaleTracker.__init__) == ["self", "dt", "sample_steps"]
     assert params(geometry_bundle) == ["u", "method"]
+    assert params(cofactor_flux_residual) == ["u", "method"]
+    for operator in (gradient, laplacian, hessian):
+        assert params(operator) == ["u", "method"]
+    assert params(divergence) == ["f", "method"]
     assert params(record_path_sample) == ["u", "t"]
     assert params(gradient_inequality_check) == ["records_per_path", "eps", "dt", "min_paths"]
     assert params(NoisePath.__init__) == ["self", "seed", "dt", "level", "increments"]
