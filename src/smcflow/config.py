@@ -1,8 +1,8 @@
 """External run configuration: "key = value" text, defaults, validation.
 
 The config layer owns all user-facing parameter validation (ranges, the
-2K > 4 requirement, scheme/form pairing, T/dt divisibility) and the initial
-condition mini-language:
+2K > 4 requirement, T/dt divisibility) and the initial condition
+mini-language, whose numbers must all be finite:
 
     flat:<c>
     modes:[(k1,k2,amp,phase),...]          sum of amp*cos(2 pi (k.x) + phase)
@@ -16,9 +16,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import FormKind, ModelForm, default_dt, heun_default_dt
+from .dynamics import FormKind, ModelForm, default_dt
 from .grid import GridSpec, ScalarField
-from .harness import SCHEMES, ModelConfig
+from .harness import ModelConfig
 from .noise import TAG_IC, derive_key
 
 __all__ = [
@@ -46,9 +46,8 @@ class ConfigError(ValueError):
 def resolve_dt(dt_max: float, T: float) -> float:
     """Largest dt that divides T exactly while staying at or under dt_max.
 
-    Used when the config leaves dt unset, with the scheme's default step
-    (default_dt or heun_default_dt) as dt_max, so the defaults always
-    validate.
+    Used when the config leaves dt unset, with the form's default_dt as
+    dt_max, so the defaults always validate.
     """
     return T / math.ceil(T / dt_max)
 
@@ -64,7 +63,6 @@ class RunConfig:
     bigK: int = 3
     R: float = 1e6
     rho: float = 1.0
-    scheme: str = ""         # "" means "derive from form"
     n_paths: int = 1
     base_seed: int = 0
     record_stride: int = 10
@@ -91,29 +89,16 @@ def _parse_float(key: str, raw: str) -> float:
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    """Check every field; returns cfg with an unset dt and scheme derived."""
+    """Check every field; returns cfg with an unset dt derived."""
     if cfg.form not in _FORM_NAMES:
         raise ConfigError(f"form must be one of {_FORM_NAMES}, got {cfg.form!r}")
     if cfg.n < 8 or cfg.n % 2:
         raise ConfigError(f"n must be an even integer >= 8, got {cfg.n}")
-    scheme = cfg.scheme or (
-        "heun_strat" if cfg.form == "stratonovich_mcf" else "em_imex"
-    )
-    if scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
-    strat = cfg.form == "stratonovich_mcf"
-    if strat != (scheme == "heun_strat"):
-        raise ConfigError(f"scheme {scheme!r} cannot integrate form {cfg.form!r}")
     # the chained comparisons also reject NaN
     if not 0.0 < cfg.T < math.inf:
         raise ConfigError(f"T must be positive and finite, got {cfg.T}")
     if not 0.0 <= cfg.dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {cfg.dt}")
-    dt = cfg.dt or resolve_dt((heun_default_dt if strat else default_dt)(cfg.n), cfg.T)
-    steps = cfg.T / dt  # overflows to inf when dt is tiny against T
-    m = round(steps) if steps < math.inf else 0
-    if m < 1 or abs(m * dt - cfg.T) > 1e-9 * max(cfg.T, dt):
-        raise ConfigError(f"T = {cfg.T} is not an integer multiple of dt = {dt}")
     if not 0.0 <= cfg.eps <= 1.0:
         raise ConfigError(f"eps must lie in [0, 1], got {cfg.eps}")
     if not 0.0 <= cfg.eta <= 1.0:
@@ -140,10 +125,15 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("output_dir must be nonempty")
     parse_initial_spec(cfg.initial_condition)  # raises on malformed specs
     try:
-        to_model_form(cfg)
+        form = to_model_form(cfg)
     except ValueError as e:
         raise ConfigError(str(e))
-    return replace(cfg, dt=dt, scheme=scheme)
+    dt = cfg.dt or resolve_dt(default_dt(form, cfg.n), cfg.T)
+    steps = cfg.T / dt  # overflows to inf when dt is tiny against T
+    m = round(steps) if steps < math.inf else 0
+    if m < 1 or abs(m * dt - cfg.T) > 1e-9 * max(cfg.T, dt):
+        raise ConfigError(f"T = {cfg.T} is not an integer multiple of dt = {dt}")
+    return replace(cfg, dt=dt)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -179,7 +169,11 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def config_from_file(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {str(path)!r} is not UTF-8 text: {e}")
+    return parse_config(text)
 
 
 def n_steps_of(cfg: RunConfig) -> int:
@@ -204,7 +198,6 @@ def to_model_form(cfg: RunConfig) -> ModelForm:
 def to_model_config(cfg: RunConfig, **overrides) -> ModelConfig:
     base = dict(
         form=to_model_form(cfg),
-        scheme=cfg.scheme,
         n=cfg.n,
         dt=cfg.dt,
         n_steps=n_steps_of(cfg),
@@ -225,9 +218,12 @@ def parse_initial_spec(spec: str):
     kind = kind.strip()
     if kind == "flat":
         try:
-            return "flat", float(arg)
+            c = float(arg)
         except ValueError:
             raise ConfigError(f"flat initial condition needs a number, got {arg!r}")
+        if not math.isfinite(c):
+            raise ConfigError(f"flat initial condition must be finite, got {arg!r}")
+        return "flat", c
     if kind == "modes":
         try:
             modes = ast.literal_eval(arg.strip())
@@ -239,10 +235,20 @@ def parse_initial_spec(spec: str):
         for m in modes:
             if not isinstance(m, (list, tuple)) or len(m) != 4:
                 raise ConfigError(f"each mode needs (k1, k2, amp, phase), got {m!r}")
-            k1, k2, amp, phase = m
-            if int(k1) != k1 or int(k2) != k2:
+            try:
+                mode = (int(m[0]), int(m[1]), float(m[2]), float(m[3]))
+                # float() of an int beyond the float range overflows too
+                finite = all(math.isfinite(float(v)) for v in mode)
+            except (TypeError, ValueError, OverflowError):
+                finite = False
+            if not finite:
+                raise ConfigError(f"each mode needs finite (k1, k2, amp, phase), got {m!r}")
+            if mode[:2] != tuple(m[:2]):
                 raise ConfigError(f"mode numbers must be integers, got {m!r}")
-            out.append((int(k1), int(k2), float(amp), float(phase)))
+            out.append(mode)
+        # |sum of amp cos(...)| <= sum |amp|, so a finite bound keeps the field finite
+        if not math.isfinite(sum(abs(m[2]) for m in out)):
+            raise ConfigError("mode amplitudes must have a finite sum")
         return "modes", out
     if kind == "random_smooth":
         parts = [p.strip() for p in arg.split(",")]
@@ -258,7 +264,7 @@ def parse_initial_spec(spec: str):
         if not 0 <= seed < 1 << 64:
             # the field's key holds 64 bits; another seed would alias one inside
             raise ConfigError(f"random_smooth seed must lie in [0, 2^64), got {seed}")
-        if decay < 3.0:
+        if not decay >= 3.0:  # also rejects NaN
             raise ConfigError(f"random_smooth decay must be >= 3, got {decay}")
         return "random_smooth", (seed, decay)
     raise ConfigError(f"unknown initial condition kind {kind!r}")
@@ -289,22 +295,24 @@ def random_smooth_field(grid: GridSpec, seed: int, decay: float) -> ScalarField:
     norms = np.array([math.hypot(k1, k2) for k1, k2 in modes])
     amps = norms**-decay
     amps *= RANDOM_SMOOTH_GRAD_BOUND / float(np.sum(amps * 2.0 * math.pi * norms))
+    terms = ((k1, k2, a, ph) for (k1, k2), a, ph in zip(modes, amps, phases))
+    return _mode_sum(grid, terms)
+
+
+def _mode_sum(grid: GridSpec, modes) -> ScalarField:
+    """Sum of amp * cos(2 pi (k1 x1 + k2 x2) + phase) over (k1, k2, amp, phase)."""
     x1, x2 = grid.nodes()
     vals = np.zeros((grid.n, grid.n))
-    for (k1, k2), a, ph in zip(modes, amps, phases):
-        vals += a * np.cos(2.0 * math.pi * (k1 * x1 + k2 * x2) + ph)
+    for k1, k2, amp, phase in modes:
+        vals += amp * np.cos(2.0 * math.pi * (k1 * x1 + k2 * x2) + phase)
     return ScalarField(grid, vals)
 
 
 def build_initial(spec: str, grid: GridSpec) -> ScalarField:
     kind, payload = parse_initial_spec(spec)
     if kind == "flat":
-        return ScalarField(grid, np.full((grid.n, grid.n), float(payload)))
+        return ScalarField.constant(grid, payload)
     if kind == "modes":
-        x1, x2 = grid.nodes()
-        vals = np.zeros((grid.n, grid.n))
-        for k1, k2, amp, phase in payload:
-            vals += amp * np.cos(2.0 * math.pi * (k1 * x1 + k2 * x2) + phase)
-        return ScalarField(grid, vals)
+        return _mode_sum(grid, payload)
     seed, decay = payload
     return random_smooth_field(grid, seed, decay)

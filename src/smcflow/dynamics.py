@@ -54,7 +54,6 @@ __all__ = [
     "PicardReport",
     "mild_picard_iterate",
     "default_dt",
-    "heun_default_dt",
 ]
 
 
@@ -141,18 +140,14 @@ class NonFiniteFieldError(RuntimeError):
         )
 
 
-def default_dt(n: int) -> float:
-    """Explicit-stability proxy 0.25 h^2 that em_imex uses when no dt is given."""
-    return 0.25 / (n * n)
+def default_dt(form: ModelForm, n: int) -> float:
+    """Step a form takes when no dt is given.
 
-
-def heun_default_dt(n: int) -> float:
-    """Step heun_strat uses when no dt is given: 0.05 h^2.
-
-    That is half the Heun bound h^2 / pi^2 (about 0.101 h^2, see
-    HeunStratStepper); default_dt's 0.25 h^2 lies above it and blows up.
+    stratonovich_mcf (Heun) takes 0.05 h^2, half the Heun bound h^2 / pi^2
+    (about 0.101 h^2, see HeunStratStepper); every other form (em_imex) takes
+    the explicit-stability proxy 0.25 h^2, which would blow Heun up.
     """
-    return 0.05 / (n * n)
+    return (0.05 if form.kind is FormKind.STRATONOVICH_MCF else 0.25) / (n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +391,8 @@ class HeunStratStepper:
     Fully explicit; the usual midpoint trapezoid in both drift and noise
     makes it consistent with the Stratonovich calculus. Stability demands
     dt * (8 pi^2) * (n/2)^2 < 2, i.e. dt < h^2 / pi^2 (about 0.101 h^2).
-    heun_default_dt stays at half of that; default_dt (0.25 h^2) does not
-    satisfy it.
+    default_dt gives this form half of that; the 0.25 h^2 it gives the
+    other forms does not satisfy it.
     """
 
     def __init__(self, grid: GridSpec, form: ModelForm, dt: float, noise_off: bool = False):

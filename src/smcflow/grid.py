@@ -122,7 +122,6 @@ class SpectralWorkspace:
         self.grad_hess_syms = np.stack(
             np.broadcast_arrays(self.ik1, self.ik2, self.sym_xx, self.sym_xy, self.sym_yy)
         ).astype(complex)[:, None]
-        self._poly_cache: dict[int, np.ndarray] = {}
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Real 2-D transform over the last two axes; equals np.fft.rfft2 bitwise.
@@ -150,19 +149,14 @@ class SpectralWorkspace:
         out = np.empty_like(full, shape=(*full.shape[:-1], self.n), dtype=np.float64)
         return _pocketfft.irfft(full, scale, out=out)
 
-    def polyharmonic_sym(self, big_k: int) -> np.ndarray:
-        """Symbol of Delta^(2K); an even power of lambda(k), hence >= 0."""
-        sym = self._poly_cache.get(big_k)
-        if sym is None:
-            sym = self.lap_sym ** (2 * big_k)
-            self._poly_cache[big_k] = sym
-        return sym
-
     def linear_sym(self, c: float, eta: float, big_k: int) -> np.ndarray:
-        """Symbol of A = c Delta - eta Delta^(2K)."""
+        """Symbol of A = c Delta - eta Delta^(2K).
+
+        Delta^(2K) has the symbol lambda(k)^(2K), an even power, hence >= 0.
+        """
         sym = c * self.lap_sym
         if eta != 0.0:
-            sym = sym - eta * self.polyharmonic_sym(big_k)
+            sym = sym - eta * self.lap_sym ** (2 * big_k)
         return sym
 
 

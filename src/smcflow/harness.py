@@ -55,8 +55,6 @@ __all__ = [
     "sweep_R",
 ]
 
-SCHEMES = ("em_imex", "heun_strat")
-
 # An ensemble batch holds at most BATCH_CELLS // n^2 rows (256 KiB per
 # (rows, n, n) field). Ensemble throughput at n = 16, 32 and 64 peaked near
 # this size on a 2-vCPU box with numpy 2.4.6; larger batches fall out of
@@ -69,7 +67,6 @@ class ModelConfig:
     """Everything needed to advance one path, minus the initial field."""
 
     form: ModelForm
-    scheme: str
     n: int
     dt: float
     n_steps: int
@@ -79,13 +76,6 @@ class ModelConfig:
     stop_at_tau_r: bool = False
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-        strat = self.form.kind is FormKind.STRATONOVICH_MCF
-        if strat != (self.scheme == "heun_strat"):
-            raise ValueError(
-                f"scheme {self.scheme!r} cannot integrate form {self.form.kind.value!r}"
-            )
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.record_stride < 1:
@@ -114,7 +104,9 @@ class ModelConfig:
 
 
 def make_stepper(cfg: ModelConfig):
-    cls = HeunStratStepper if cfg.scheme == "heun_strat" else EmImexStepper
+    """The form picks the scheme: Heun for the Stratonovich form, em_imex otherwise."""
+    strat = cfg.form.kind is FormKind.STRATONOVICH_MCF
+    cls = HeunStratStepper if strat else EmImexStepper
     return cls(cfg.grid, cfg.form, cfg.dt, noise_off=cfg.noise_off)
 
 

@@ -48,10 +48,6 @@ class CheckResult:
     detail: str
 
 
-def _flat(grid: GridSpec, c: float) -> ScalarField:
-    return ScalarField(grid, np.full((grid.n, grid.n), c))
-
-
 def check_spectral_roundtrip() -> tuple[bool, str]:
     grid = GridSpec(32)
     u = random_smooth_field(grid, seed=11, decay=3.0)
@@ -145,11 +141,9 @@ def check_gauss_bonnet() -> tuple[bool, str]:
 
 def check_flat_exactness() -> tuple[bool, str]:
     grid = GridSpec(16)
-    cfg = ModelConfig(
-        form=ModelForm(FormKind.ITO_MCF), scheme="em_imex", n=16, dt=1e-3, n_steps=200
-    )
+    cfg = ModelConfig(form=ModelForm(FormKind.ITO_MCF), n=16, dt=1e-3, n_steps=200)
     noise = NoisePath.generate(97, 1e-3, 200)
-    res = run_path(cfg, _flat(grid, 0.7), noise=noise)
+    res = run_path(cfg, ScalarField.constant(grid, 0.7), noise=noise)
     worst = 0.0
     for rec, step in zip(res.records, res.record_steps):
         worst = max(worst, abs(rec.mass - 0.7 - noise.w[step]))
@@ -163,7 +157,7 @@ def check_truncation_transparency() -> tuple[bool, str]:
     grid = GridSpec(16)
     u0 = random_smooth_field(grid, seed=61, decay=4.0)
     noise = NoisePath.generate(613, 2e-4, 50)
-    base = dict(scheme="em_imex", n=16, dt=2e-4, n_steps=50)
+    base = dict(n=16, dt=2e-4, n_steps=50)
     plain = ModelConfig(
         form=ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-6, big_k=3), **base
     )
@@ -185,13 +179,12 @@ def check_martingale_flat() -> tuple[bool, str]:
     n_paths, n_steps, dt = 200, 100, 1e-3
     cfg = ModelConfig(
         form=ModelForm(FormKind.ITO_MCF),
-        scheme="em_imex",
         n=8,
         dt=dt,
         n_steps=n_steps,
         martingale_steps=(n_steps,),
     )
-    rep = run_ensemble(cfg, _flat(grid, 0.0), n_paths, base_seed=2024)
+    rep = run_ensemble(cfg, ScalarField.constant(grid, 0.0), n_paths, base_seed=2024)
     mart = martingale_test([r.martingale_samples for r in rep.results])
     t = n_steps * dt
     ratio = float(mart.var_m[0] / t)
@@ -209,7 +202,6 @@ def check_mass_residual() -> tuple[bool, str]:
     )
     cfg = ModelConfig(
         form=ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-6, big_k=3),
-        scheme="em_imex",
         n=16,
         dt=2e-4,
         n_steps=100,

@@ -56,7 +56,6 @@ def suite5():
     """200-path regularized ensemble shared by criteria 5, 6, 7, and 8."""
     cfg = ModelConfig(
         form=ModelForm(FormKind.REGULARIZED, eps=0.1, eta=0.0, big_k=3),
-        scheme="em_imex",
         n=32,
         dt=1e-4,
         n_steps=1000,
@@ -74,7 +73,6 @@ def flat500():
     """500 flat paths; the martingale is exactly the driving Wiener process."""
     cfg = ModelConfig(
         form=ModelForm(FormKind.ITO_MCF),
-        scheme="em_imex",
         n=16,
         dt=1e-3,
         n_steps=100,
@@ -174,7 +172,6 @@ def test_criterion_03_flat_graph_exactness():
 def test_criterion_04_linear_mode_decay():
     cfg = ModelConfig(
         form=ModelForm(FormKind.ITO_ANISOTROPIC),
-        scheme="em_imex",
         n=32,
         dt=1e-4,
         n_steps=500,
@@ -237,7 +234,6 @@ def test_criterion_08_truncation_transparency(suite5):
         form=ModelForm(
             FormKind.REGULARIZED_TRUNCATED, eps=0.1, eta=0.0, big_k=3, r_trunc=1e6
         ),
-        scheme="em_imex",
         n=cfg.n,
         dt=cfg.dt,
         n_steps=cfg.n_steps,
@@ -257,7 +253,6 @@ def test_criterion_08_truncation_transparency(suite5):
         form=ModelForm(
             FormKind.REGULARIZED_TRUNCATED, eps=0.1, eta=0.0, big_k=3, r_trunc=30.0
         ),
-        scheme="em_imex",
         n=32,
         dt=1e-4,
         n_steps=50,
@@ -281,7 +276,6 @@ def test_criterion_09_limit_sweeps():
     # high modes for the whole value list
     eta_base = ModelConfig(
         form=ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-4, big_k=1),
-        scheme="em_imex",
         n=32,
         dt=1e-4,
         n_steps=500,
@@ -296,7 +290,6 @@ def test_criterion_09_limit_sweeps():
 
     eps_base = ModelConfig(
         form=ModelForm(FormKind.REGULARIZED, eps=0.4, eta=0.0, big_k=3),
-        scheme="em_imex",
         n=32,
         dt=2e-4,
         n_steps=500,
@@ -346,11 +339,11 @@ def test_criterion_10_ito_stratonovich_consistency():
 
     def one_level(dt, n_steps, noises):
         cfg_i = ModelConfig(
-            form=ModelForm(FormKind.ITO_MCF), scheme="em_imex",
+            form=ModelForm(FormKind.ITO_MCF),
             n=16, dt=dt, n_steps=n_steps, record_stride=n_steps,
         )
         cfg_s = ModelConfig(
-            form=ModelForm(FormKind.STRATONOVICH_MCF), scheme="heun_strat",
+            form=ModelForm(FormKind.STRATONOVICH_MCF),
             n=16, dt=dt, n_steps=n_steps, record_stride=n_steps,
         )
         out = {k: [] for k in ("mi", "gi", "ms", "gs")}

@@ -331,6 +331,45 @@ class TestErrorPaths:
         assert "base_seed must be below 2^64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "ensemble"])
+    @pytest.mark.parametrize("spec", [
+        "flat:nan", "random_smooth:1,nan", "modes:[(1e400,0,1.0,0.0)]", "modes:[(1,0,1.0,None)]",
+    ])
+    def test_bad_initial_condition_is_validation_error(self, tmp_path, capsys, command, spec):
+        # the first two used to abort at step 1 (exit 2) after making the
+        # output directory, the last two to raise a traceback; the config
+        # tests hold the full list of cases
+        text = BASE_CFG.replace("modes:[(1,0,0.2,0.0),(0,1,0.1,0.5)]", spec)
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, cfg, "--output-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["em_imex", "heun_strat"])
+    def test_scheme_key_is_validation_error(self, tmp_path, capsys, scheme):
+        # the form picks the stepper; scheme is no longer a config key
+        cfg = write_cfg(tmp_path, BASE_CFG + f"scheme = {scheme}\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: line 9: unknown config key 'scheme'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ensemble", "resume"])
+    def test_config_not_utf8_is_validation_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(BASE_CFG.encode() + "# caf\xe9\n".encode("latin-1"))
+        out = tmp_path / "out"
+        argv = [command, str(cfg), "--output-dir", str(out)]
+        if command == "resume":
+            argv += ["--checkpoint", str(tmp_path / "checkpoint.snap")]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: config file .* is not UTF-8 text: [^\n]*\n", err)
+        assert not out.exists()
+
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.cfg")])
         assert code == EXIT_IO

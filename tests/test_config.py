@@ -18,10 +18,11 @@ from smcflow.config import (
     to_model_form,
     RANDOM_SMOOTH_GRAD_BOUND,
 )
-from smcflow.dynamics import FormKind, default_dt, heun_default_dt
+from smcflow.dynamics import FormKind, ModelForm, default_dt
 from smcflow.grid import GridSpec, gradient
 
 TWO_PI = 2.0 * math.pi
+ITO = ModelForm(FormKind.ITO_MCF)
 
 
 class TestParse:
@@ -29,16 +30,15 @@ class TestParse:
         cfg = parse_config("")
         assert cfg.form == "ito_mcf"
         assert cfg.n == 64
-        assert cfg.dt == resolve_dt(default_dt(64), 0.1)
-        assert cfg.scheme == "em_imex"
+        assert cfg.dt == resolve_dt(default_dt(ITO, 64), 0.1)
         assert cfg.T == 0.1
         assert cfg.initial_condition == "flat:0.0"
         assert cfg.output_dir == "out"
 
     def test_resolved_dt_divides_t_under_stability_proxy(self):
         for n, T in ((8, 0.1), (16, 0.02), (64, 0.1), (64, 1e-5)):
-            dt = resolve_dt(default_dt(n), T)
-            assert dt <= default_dt(n) or T < default_dt(n)
+            dt = resolve_dt(default_dt(ITO, n), T)
+            assert dt <= default_dt(ITO, n) or T < default_dt(ITO, n)
             m = round(T / dt)
             assert m >= 1
             assert abs(m * dt - T) <= 1e-12 * T
@@ -54,7 +54,7 @@ class TestParse:
             """
         )
         assert cfg.n == 32 and cfg.T == 0.05 and cfg.base_seed == 7
-        assert cfg.dt == resolve_dt(default_dt(32), 0.05)
+        assert cfg.dt == resolve_dt(default_dt(ITO, 32), 0.05)
 
     def test_line_errors(self):
         with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
@@ -70,19 +70,14 @@ class TestParse:
         with pytest.raises(ConfigError, match="dt must be a number"):
             parse_config("dt = fast")
 
-    def test_scheme_derivation(self):
-        assert parse_config("form = stratonovich_mcf").scheme == "heun_strat"
-        assert parse_config("form = regularized").scheme == "em_imex"
-        cfg = parse_config("form = stratonovich_mcf\nscheme = heun_strat")
-        assert cfg.scheme == "heun_strat"
-
     def test_heun_derived_dt_stays_under_its_bound(self):
         # heun_strat is stable only for dt < h^2 / pi^2; em_imex keeps 0.25 h^2
+        strat = ModelForm(FormKind.STRATONOVICH_MCF)
         for n, T in ((16, 0.2), (32, 0.1), (64, 0.01)):
             cfg = parse_config(f"form = stratonovich_mcf\nn = {n}\nT = {T}")
-            assert cfg.dt == resolve_dt(heun_default_dt(n), T)
+            assert cfg.dt == resolve_dt(default_dt(strat, n), T)
             assert cfg.dt <= 0.05 / n**2 < 1.0 / (math.pi * n) ** 2
-            assert parse_config(f"n = {n}\nT = {T}").dt == resolve_dt(default_dt(n), T)
+            assert parse_config(f"n = {n}\nT = {T}").dt == resolve_dt(default_dt(ITO, n), T)
 
     def test_explicit_dt_kept(self):
         cfg = parse_config("dt = 0.001\nT = 0.1")
@@ -97,8 +92,9 @@ class TestValidation:
             ("form = smcf", "form must be one of"),
             ("n = 6", "even integer >= 8"),
             ("n = 33", "even integer >= 8"),
-            ("form = stratonovich_mcf\nscheme = em_imex", "cannot integrate form"),
-            ("scheme = heun_strat", "cannot integrate form"),
+            # the form picks the scheme, so a scheme key is refused like theta
+            ("form = stratonovich_mcf\nscheme = em_imex", "line 2: unknown config key 'scheme'"),
+            ("scheme = heun_strat", "line 1: unknown config key 'scheme'"),
             ("dt = -0.001", "dt must be positive"),
             ("dt = nan", "dt must be positive and finite"),
             ("T = 0.0", "T must be positive"),
@@ -169,7 +165,7 @@ class TestModelMapping:
         cfg = parse_config("n = 16\ndt = 0.001\nT = 0.02\nrecord_stride = 5")
         mc = to_model_config(cfg)
         assert (mc.n, mc.dt, mc.n_steps, mc.record_stride) == (16, 1e-3, 20, 5)
-        assert mc.scheme == "em_imex"
+        assert mc.form == ITO
         mc2 = to_model_config(cfg, noise_off=True, martingale_steps=(10, 20))
         assert mc2.noise_off and mc2.martingale_steps == (10, 20)
 
@@ -193,13 +189,28 @@ class TestInitialSpecs:
         [
             ("flat", "needs 'kind:args'"),
             ("flat:tall", "needs a number"),
+            ("flat:nan", "must be finite"),
+            ("flat:inf", "must be finite"),
+            ("flat:-inf", "must be finite"),
             ("modes:[(1,0,0.1", "cannot parse mode list"),
             ("modes:[]", "nonempty"),
             ("modes:[(1, 0, 0.1)]", r"needs \(k1, k2, amp, phase\)"),
             ("modes:[(1.5, 0, 0.1, 0.0)]", "mode numbers must be integers"),
+            ("modes:[('1', 0, 0.1, 0.0)]", "mode numbers must be integers"),
+            ("modes:[(1,0,1e400,0.0)]", r"needs finite \(k1, k2, amp, phase\)"),
+            ("modes:[(1,0,1.0,-1e400)]", r"needs finite \(k1, k2, amp, phase\)"),
+            ("modes:[(1e400,0,1.0,0.0)]", r"needs finite \(k1, k2, amp, phase\)"),
+            ("modes:[('a',0,1.0,0.0)]", r"needs finite \(k1, k2, amp, phase\)"),
+            ("modes:[(1,0,'x',0.0)]", r"needs finite \(k1, k2, amp, phase\)"),
+            ("modes:[(1,0,1.0,None)]", r"needs finite \(k1, k2, amp, phase\)"),
+            # int() takes it, but the field's k . x would overflow
+            pytest.param(f"modes:[({10**400},0,1.0,0.0)]", r"needs finite \(k1, k2, amp, phase\)",
+                         id="modes:k1=10^400"),
+            ("modes:[(1,0,1e308,0.0),(0,1,1e308,0.0)]", "finite sum"),
             ("random_smooth:11", "needs 'seed,decay'"),
             ("random_smooth:a,4", "needs 'seed,decay'"),
             ("random_smooth:11,2.0", "decay must be >= 3"),
+            ("random_smooth:1,nan", "decay must be >= 3"),
             ("random_smooth:18446744073709551616,4", r"seed must lie in \[0, 2\^64\)"),
             ("random_smooth:-1,4", r"seed must lie in \[0, 2\^64\)"),
             ("waves:1", "unknown initial condition kind"),

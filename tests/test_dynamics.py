@@ -290,8 +290,13 @@ class TestStepperConstruction:
             EmImexStepper(GridSpec(16), ModelForm(FormKind.ITO_MCF), 0.0)
 
     def test_default_dt(self):
-        assert default_dt(16) == 0.25 / 256
-        assert default_dt(64) == 0.25 / 4096
+        # 0.05 h^2 keeps Heun under its bound h^2 / pi^2; em_imex takes 0.25 h^2
+        for kind in FormKind:
+            regularized = kind in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED)
+            form = ModelForm(kind, eps=0.1) if regularized else ModelForm(kind)
+            c = 0.05 if kind is FormKind.STRATONOVICH_MCF else 0.25
+            assert default_dt(form, 16) == c / 256
+            assert default_dt(form, 64) == c / 4096
 
 
 class TestFlatExactness:

@@ -221,7 +221,8 @@ class TestWorkspace:
         ws = get_workspace(16)
         assert ws.lap_sym[0, 0] == 0.0
         assert np.all(ws.lap_sym <= 0.0)
-        assert np.all(ws.polyharmonic_sym(2) >= 0.0)
+        # -Delta^(2K) has the symbol -lambda^(2K) <= 0
+        assert np.all(ws.linear_sym(0.0, 1.0, 2) <= 0.0)
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
     def test_transforms_equal_numpy_fft_bitwise(self, n):

@@ -31,7 +31,7 @@ def smooth_u0(grid):
 
 def ito_config(**kw):
     base = dict(
-        form=ModelForm(FormKind.ITO_MCF), scheme="em_imex",
+        form=ModelForm(FormKind.ITO_MCF),
         n=16, dt=1e-3, n_steps=20, record_stride=10,
     )
     base.update(kw)
@@ -55,16 +55,13 @@ def assert_same_path(batched, alone):
 
 class TestModelConfig:
     def test_scheme_form_pairing(self):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            ito_config(scheme="imex")
-        with pytest.raises(ValueError, match="cannot integrate form"):
-            ito_config(form=ModelForm(FormKind.STRATONOVICH_MCF))
-        with pytest.raises(ValueError, match="cannot integrate form"):
+        # a config names no scheme, so it cannot pair a form with the wrong one:
+        # the old keyword is refused and the Stratonovich form needs nothing extra
+        with pytest.raises(TypeError, match="scheme"):
             ito_config(scheme="heun_strat")
-        ModelConfig(
-            form=ModelForm(FormKind.STRATONOVICH_MCF), scheme="heun_strat",
-            n=16, dt=1e-3, n_steps=10,
-        )
+        strat = ModelConfig(form=ModelForm(FormKind.STRATONOVICH_MCF), n=16, dt=1e-3, n_steps=10)
+        assert not hasattr(strat, "scheme")
+        assert make_stepper(strat).form.kind is FormKind.STRATONOVICH_MCF
 
     def test_bounds(self):
         with pytest.raises(ValueError, match="n_steps"):
@@ -96,14 +93,16 @@ class TestModelConfig:
         assert cfg.horizon == pytest.approx(0.02)
 
     def test_make_stepper_dispatch(self):
+        # the form picks the scheme: Heun for Stratonovich, em_imex for every Ito form
         from smcflow.dynamics import EmImexStepper, HeunStratStepper
 
-        assert isinstance(make_stepper(ito_config()), EmImexStepper)
-        strat = ModelConfig(
-            form=ModelForm(FormKind.STRATONOVICH_MCF), scheme="heun_strat",
-            n=16, dt=1e-3, n_steps=10,
-        )
-        assert isinstance(make_stepper(strat), HeunStratStepper)
+        for kind in FormKind:
+            regularized = kind in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED)
+            form = ModelForm(kind, eps=0.1) if regularized else ModelForm(kind)
+            stepper = make_stepper(ito_config(form=form))
+            strat = kind is FormKind.STRATONOVICH_MCF
+            assert type(stepper) is (HeunStratStepper if strat else EmImexStepper), kind
+            assert stepper.form == form
 
 
 class TestRunPath:
@@ -302,7 +301,7 @@ class TestBatchParity:
 
     def test_stratonovich_heun(self):
         self.check(ModelConfig(
-            form=ModelForm(FormKind.STRATONOVICH_MCF), scheme="heun_strat",
+            form=ModelForm(FormKind.STRATONOVICH_MCF),
             n=16, dt=1e-4, n_steps=30, record_stride=7, martingale_steps=(10, 30),
         ))
 
@@ -326,7 +325,7 @@ class TestBatchParity:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_heun_blowups_leave_other_rows_unchanged(self):
         cfg = ModelConfig(
-            form=ModelForm(FormKind.STRATONOVICH_MCF), scheme="heun_strat",
+            form=ModelForm(FormKind.STRATONOVICH_MCF),
             n=16, dt=1e-3, n_steps=5, record_stride=5, martingale_steps=(2, 5),
         )
         x1, _ = cfg.grid.nodes()
@@ -354,7 +353,7 @@ class TestRunPaths:
     CONFIGS = {
         "em_imex": ito_config(n_steps=30, record_stride=7, martingale_steps=(10, 30)),
         "heun_strat": ModelConfig(
-            form=ModelForm(FormKind.STRATONOVICH_MCF), scheme="heun_strat",
+            form=ModelForm(FormKind.STRATONOVICH_MCF),
             n=16, dt=1e-4, n_steps=30, record_stride=7, martingale_steps=(10, 30),
         ),
     }
@@ -425,7 +424,7 @@ class TestSweeps:
         grid = GridSpec(16)
         base = ModelConfig(
             form=ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-3, big_k=1),
-            scheme="em_imex", n=16, dt=1e-4, n_steps=50, record_stride=50,
+            n=16, dt=1e-4, n_steps=50, record_stride=50,
         )
         plan = SweepPlan(axis="eta", values=(1e-3, 1e-4, 1e-5, 0.0),
                          base_config=base, n_paths=4, base_seed=777)
@@ -446,7 +445,7 @@ class TestSweeps:
         grid = GridSpec(16)
         base = ModelConfig(
             form=ModelForm(FormKind.REGULARIZED, eps=0.4, eta=0.0),
-            scheme="em_imex", n=16, dt=1e-4, n_steps=50, record_stride=10,
+            n=16, dt=1e-4, n_steps=50, record_stride=10,
         )
         plan = SweepPlan(axis="epsilon", values=(0.4, 0.2, 0.1),
                          base_config=base, n_paths=4, base_seed=1234)
@@ -479,7 +478,7 @@ class TestSweeps:
         steep = ScalarField(grid, 0.5 * np.sin(TWO_PI * x1))
         base = ModelConfig(
             form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=20.0),
-            scheme="em_imex", n=16, dt=1e-4, n_steps=30, record_stride=30,
+            n=16, dt=1e-4, n_steps=30, record_stride=30,
         )
         plan = SweepPlan(axis="R", values=(20.0, 60.0, 1e6),
                          base_config=base, n_paths=4, base_seed=55)
@@ -492,7 +491,7 @@ class TestSweeps:
     def test_r_sweep_must_increase(self):
         base = ModelConfig(
             form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=20.0),
-            scheme="em_imex", n=16, dt=1e-4, n_steps=10,
+            n=16, dt=1e-4, n_steps=10,
         )
         with pytest.raises(ValueError, match="must increase"):
             SweepPlan(axis="R", values=(60.0, 20.0), base_config=base,

@@ -15,6 +15,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from smcflow.config import RunConfig
 from smcflow.dynamics import EmImexStepper, HeunStratStepper
 from smcflow.geometry import cofactor_flux_residual, geometry_bundle
 from smcflow.grid import divergence, gradient, hessian, laplacian
@@ -90,8 +91,13 @@ def test_option_surface_is_pinned():
         return list(inspect.signature(fn).parameters)
 
     assert [f.name for f in dataclasses.fields(ModelConfig)] == [
-        "form", "scheme", "n", "dt", "n_steps", "record_stride", "noise_off",
+        "form", "n", "dt", "n_steps", "record_stride", "noise_off",
         "martingale_steps", "stop_at_tau_r",
+    ]
+    # the user-facing config keys
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "form", "n", "dt", "T", "eps", "eta", "bigK", "R", "rho", "n_paths",
+        "base_seed", "record_stride", "initial_condition", "output_dir",
     ]
     assert params(EmImexStepper.step) == ["self", "state"]
     assert params(HeunStratStepper.step) == ["self", "state"]
