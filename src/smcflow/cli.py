@@ -17,7 +17,7 @@ from .config import (
     n_steps_of,
     to_model_config,
 )
-from .dynamics import FormKind, NonFiniteFieldError
+from .dynamics import NonFiniteFieldError
 from .harness import (
     SWEEP_AXES,
     SweepPlan,
@@ -223,18 +223,12 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"cannot parse sweep values {args.values!r}")
     mc = to_model_config(cfg)
-    form_kind = mc.form.kind
-    if args.axis == "R" and form_kind is not FormKind.REGULARIZED_TRUNCATED:
-        raise ConfigError("R sweeps need form = regularized_truncated")
-    if form_kind not in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
-        raise ConfigError(
-            f"{args.axis} sweeps need form = regularized or regularized_truncated"
-        )
-    # the plan builds every sweep config, so bad values fail before any run
+    # the plan checks the form and builds every sweep config, so a bad
+    # value or a form that ignores the axis fails before any run
     try:
         plan = SweepPlan(args.axis, values, mc, cfg.n_paths, cfg.base_seed)
     except ValueError as e:
-        raise ConfigError(f"bad sweep values {args.values!r}: {e}") from None
+        raise ConfigError(f"cannot sweep {args.axis} over {args.values!r}: {e}") from None
     out = _outdir(cfg, args.output_dir)
     u0 = build_initial(cfg.initial_condition, mc.grid)
 

@@ -1,8 +1,8 @@
 """External run configuration: "key = value" text, defaults, validation.
 
 The config layer owns all user-facing parameter validation (ranges, the
-2K > 4 requirement, T/dt divisibility) and the initial condition
-mini-language, whose numbers must all be finite:
+2K > 4 requirement, T/dt divisibility, the form's linear dt bound) and the
+initial condition mini-language, whose numbers must all be finite:
 
     flat:<c>
     modes:[(k1,k2,amp,phase),...]          sum of amp*cos(2 pi (k.x) + phase)
@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import FormKind, ModelForm, default_dt
+from .dynamics import FormKind, ModelForm, default_dt, linear_dt_bound
 from .grid import GridSpec, ScalarField
 from .harness import ModelConfig
 from .noise import TAG_IC, derive_key
@@ -88,6 +88,13 @@ def _parse_float(key: str, raw: str) -> float:
         raise ConfigError(f"{key} must be a number, got {raw!r}")
 
 
+# each key parses as the type of its RunConfig default; str keys stay raw
+_KEY_PARSERS = {
+    f.name: {int: _parse_int, float: _parse_float}.get(type(f.default))
+    for f in fields(RunConfig)
+}
+
+
 def _validate(cfg: RunConfig) -> RunConfig:
     """Check every field; returns cfg with an unset dt derived."""
     if cfg.form not in _FORM_NAMES:
@@ -128,7 +135,15 @@ def _validate(cfg: RunConfig) -> RunConfig:
         form = to_model_form(cfg)
     except ValueError as e:
         raise ConfigError(str(e))
-    dt = cfg.dt or resolve_dt(default_dt(form, cfg.n), cfg.T)
+    derived = resolve_dt(default_dt(form, cfg.n), cfg.T)
+    dt = cfg.dt or derived
+    bound = linear_dt_bound(form, cfg.n)
+    if dt > bound:
+        raise ConfigError(
+            f"dt = {dt!r} exceeds {bound:.6g}, the linear stability bound of "
+            f"{cfg.form} at n = {cfg.n} (necessary, not sufficient, for a stable "
+            f"run); leave dt unset to derive dt = {derived!r}"
+        )
     steps = cfg.T / dt  # overflows to inf when dt is tiny against T
     m = round(steps) if steps < math.inf else 0
     if m < 1 or abs(m * dt - cfg.T) > 1e-9 * max(cfg.T, dt):
@@ -146,16 +161,12 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _KEY_ORDER:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        if key in ("n", "bigK", "n_paths", "base_seed", "record_stride"):
-            values[key] = _parse_int(key, raw)
-        elif key in ("dt", "T", "eps", "eta", "R", "rho"):
-            values[key] = _parse_float(key, raw)
-        else:
-            values[key] = raw
+        parse = _KEY_PARSERS[key]
+        values[key] = parse(key, raw) if parse else raw
     return _validate(RunConfig(**values))
 
 
@@ -235,17 +246,21 @@ def parse_initial_spec(spec: str):
         for m in modes:
             if not isinstance(m, (list, tuple)) or len(m) != 4:
                 raise ConfigError(f"each mode needs (k1, k2, amp, phase), got {m!r}")
+            # bool is an int subclass, but True is no mode number or amplitude
+            typed = all(type(k) is int for k in m[:2]) and all(
+                type(v) in (int, float) for v in m[2:]
+            )
             try:
-                mode = (int(m[0]), int(m[1]), float(m[2]), float(m[3]))
-                # float() of an int beyond the float range overflows too
-                finite = all(math.isfinite(float(v)) for v in mode)
-            except (TypeError, ValueError, OverflowError):
+                # float() of an int beyond the float range overflows
+                finite = typed and all(math.isfinite(float(v)) for v in m)
+            except OverflowError:
                 finite = False
             if not finite:
-                raise ConfigError(f"each mode needs finite (k1, k2, amp, phase), got {m!r}")
-            if mode[:2] != tuple(m[:2]):
-                raise ConfigError(f"mode numbers must be integers, got {m!r}")
-            out.append(mode)
+                raise ConfigError(
+                    f"each mode needs finite (k1, k2, amp, phase); mode numbers must be "
+                    f"integers and amp, phase int or float numbers, got {m!r}"
+                )
+            out.append((m[0], m[1], float(m[2]), float(m[3])))
         # |sum of amp cos(...)| <= sum |amp|, so a finite bound keeps the field finite
         if not math.isfinite(sum(abs(m[2]) for m in out)):
             raise ConfigError("mode amplitudes must have a finite sum")

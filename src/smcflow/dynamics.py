@@ -20,6 +20,7 @@ to rounding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -54,6 +55,7 @@ __all__ = [
     "PicardReport",
     "mild_picard_iterate",
     "default_dt",
+    "linear_dt_bound",
 ]
 
 
@@ -140,14 +142,40 @@ class NonFiniteFieldError(RuntimeError):
         )
 
 
+def linear_dt_bound(form: ModelForm, n: int) -> float:
+    """Largest dt at which the form's stepper damps every mode of its linearization.
+
+    At a flat graph H v linearizes to the discrete Laplacian of the
+    first-derivative symbols (Nyquist dropped), with rate lambda_D(k) >= 0,
+    and the explicit drift to hv_coef * H v; the anisotropic term is
+    quadratic and drops out. With s(k) <= 0 the symbol of the implicit
+    linear part A, mode k then obeys
+    u+ = (1 - dt hv_coef lambda_D) / (1 - dt s) u under em_imex and
+    u+ = (1 - z + z^2 / 2) u with z = dt lambda_D under Heun (where A = 0).
+    Either factor stays in [-1, 1] exactly while
+    dt * (hv_coef lambda_D + s) <= 2 for every k, so the bound is 2 over the
+    largest such rate: finite for stratonovich_mcf and for rho_variant with
+    rho < 1, inf for every other form. It is necessary, not sufficient: away
+    from a flat graph the nonlinear terms can still blow a run up.
+    """
+    ws = get_workspace(n)
+    # -lambda_D: the Laplacian symbol less the Nyquist entries of ik1, ik2
+    lap_d = ws.sym_xx * (ws.ik1 != 0.0) + ws.sym_yy * (ws.ik2 != 0.0)
+    rate = ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k) - form.hv_coef * lap_d
+    top = float(rate.max())
+    return 2.0 / top if top > 0.0 else math.inf
+
+
 def default_dt(form: ModelForm, n: int) -> float:
     """Step a form takes when no dt is given.
 
-    stratonovich_mcf (Heun) takes 0.05 h^2, half the Heun bound h^2 / pi^2
-    (about 0.101 h^2, see HeunStratStepper); every other form (em_imex) takes
-    the explicit-stability proxy 0.25 h^2, which would blow Heun up.
+    stratonovich_mcf (Heun) takes 0.05 h^2 and every other form (em_imex)
+    the explicit-stability proxy 0.25 h^2, each capped at half of
+    linear_dt_bound. Only rho_variant with rho < 1 meets that cap: 0.05 h^2
+    is below half the Heun bound at every n.
     """
-    return (0.05 if form.kind is FormKind.STRATONOVICH_MCF else 0.25) / (n * n)
+    proxy = (0.05 if form.kind is FormKind.STRATONOVICH_MCF else 0.25) / (n * n)
+    return min(proxy, 0.5 * linear_dt_bound(form, n))
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +286,13 @@ class PathBatch:
     """P paths at one common step, stepped together; row p is path p.
 
     ``u`` is (P, n, n) and ``increments`` (P, m) holds each row's Brownian
-    increments on the grid of spacing ``dt``. Rows never interact, so each
-    row evolves bit for bit as it would alone.
+    increments on the stepper's time grid. Rows never interact, so each row
+    evolves bit for bit as it would alone.
     """
 
     u: np.ndarray
     step: int
     increments: np.ndarray
-    dt: float
-
-    @property
-    def t(self) -> float:
-        return self.step * self.dt
 
 
 @dataclass
@@ -313,8 +336,7 @@ def _check_finite(values: np.ndarray, step: int):
 def _as_batch(state: PathState | PathBatch) -> PathBatch:
     if isinstance(state, PathBatch):
         return state
-    noise = state.noise
-    return PathBatch(state.u.values[None], state.step, noise.increments[None], noise.dt)
+    return PathBatch(state.u.values[None], state.step, state.noise.increments[None])
 
 
 def _advanced(state, u, u_plus, dt, n_explicit, g, dw, hess_linf=None):
@@ -336,7 +358,7 @@ def _advanced(state, u, u_plus, dt, n_explicit, g, dw, hess_linf=None):
         hess_linf=hess_linf,
     )
     if isinstance(state, PathBatch):
-        return PathBatch(u_plus, state.step + 1, state.increments, state.dt), audit
+        return PathBatch(u_plus, state.step + 1, state.increments), audit
     new_state = replace(state, u=ScalarField(state.u.grid, u_plus[0]), step=state.step + 1)
     return new_state, audit.row(0)
 
@@ -350,7 +372,7 @@ class EmImexStepper:
     Stratonovich drift with an Ito scheme silently changes the equation.
     """
 
-    def __init__(self, grid: GridSpec, form: ModelForm, dt: float, noise_off: bool = False):
+    def __init__(self, grid: GridSpec, form: ModelForm, dt: float):
         if form.kind is FormKind.STRATONOVICH_MCF:
             raise ValueError(
                 "stratonovich_mcf drift cannot be stepped by the Ito scheme; use heun_strat"
@@ -360,7 +382,6 @@ class EmImexStepper:
         self.grid = grid
         self.form = form
         self.dt = dt
-        self.noise_off = noise_off
         self.ws = get_workspace(grid.n)
         self.denom = 1.0 - dt * self.ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k)
 
@@ -374,12 +395,8 @@ class EmImexStepper:
         batch = _as_batch(state)
         u = batch.u
         n_expl, g, hess_linf = explicit_terms(ws.forward(u), self.form, ws)
-        if self.noise_off:
-            dw = np.zeros(len(u))
-            rhs = u + self.dt * n_expl
-        else:
-            dw = batch.increments[:, batch.step]
-            rhs = u + self.dt * n_expl + g * dw[:, None, None]
+        dw = batch.increments[:, batch.step]
+        rhs = u + self.dt * n_expl + g * dw[:, None, None]
         u_plus = ws.inverse(ws.forward(rhs) / self.denom)
         _check_finite(u_plus, batch.step + 1)
         return _advanced(state, u, u_plus, self.dt, n_expl, g, dw, hess_linf)
@@ -389,13 +406,16 @@ class HeunStratStepper:
     """Predictor-corrector (Heun) step for the Stratonovich form.
 
     Fully explicit; the usual midpoint trapezoid in both drift and noise
-    makes it consistent with the Stratonovich calculus. Stability demands
-    dt * (8 pi^2) * (n/2)^2 < 2, i.e. dt < h^2 / pi^2 (about 0.101 h^2).
-    default_dt gives this form half of that; the 0.25 h^2 it gives the
-    other forms does not satisfy it.
+    makes it consistent with the Stratonovich calculus. Linear stability at
+    a flat graph needs dt * 8 pi^2 (n/2 - 1)^2 <= 2 (linear_dt_bound: 5.17e-4
+    at n = 16; the first-derivative symbols drop the Nyquist mode, so this
+    is above h^2 / pi^2). default_dt takes 0.05 h^2, under half the bound;
+    the 0.25 h^2 proxy of the em_imex forms would blow Heun up. The noise
+    enters only through the path's increments, so a zero path steps the
+    deterministic flow.
     """
 
-    def __init__(self, grid: GridSpec, form: ModelForm, dt: float, noise_off: bool = False):
+    def __init__(self, grid: GridSpec, form: ModelForm, dt: float):
         if form.kind is not FormKind.STRATONOVICH_MCF:
             raise ValueError(
                 f"heun_strat steps the stratonovich_mcf form only, got {form.kind.value}"
@@ -405,7 +425,6 @@ class HeunStratStepper:
         self.grid = grid
         self.form = form
         self.dt = dt
-        self.noise_off = noise_off
         self.ws = get_workspace(grid.n)
 
     def step(self, state):
@@ -417,10 +436,7 @@ class HeunStratStepper:
         ws = self.ws
         batch = _as_batch(state)
         u = batch.u
-        if self.noise_off:
-            dw = np.zeros(len(u))
-        else:
-            dw = batch.increments[:, batch.step]
+        dw = batch.increments[:, batch.step]
         dw3 = dw[:, None, None]
         hv0, g0, _ = explicit_terms(ws.forward(u), self.form, ws)
         pred = u + self.dt * hv0 + g0 * dw3

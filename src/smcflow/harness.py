@@ -71,7 +71,6 @@ class ModelConfig:
     dt: float
     n_steps: int
     record_stride: int = 10
-    noise_off: bool = False
     martingale_steps: tuple[int, ...] = ()
     stop_at_tau_r: bool = False
 
@@ -107,7 +106,7 @@ def make_stepper(cfg: ModelConfig):
     """The form picks the scheme: Heun for the Stratonovich form, em_imex otherwise."""
     strat = cfg.form.kind is FormKind.STRATONOVICH_MCF
     cls = HeunStratStepper if strat else EmImexStepper
-    return cls(cfg.grid, cfg.form, cfg.dt, noise_off=cfg.noise_off)
+    return cls(cfg.grid, cfg.form, cfg.dt)
 
 
 @dataclass
@@ -130,27 +129,22 @@ class PathResult:
 def run_path(
     cfg: ModelConfig,
     u0: ScalarField,
-    seed: int | None = None,
-    noise: NoisePath | None = None,
+    noise: NoisePath,
     stepper=None,
     start_step: int = 0,
     stop_at_step: int | None = None,
     checkpoint_every: int | None = None,
     checkpoint_cb: Callable[[PathState], None] | None = None,
 ) -> PathResult:
-    """Advance one path up to cfg.n_steps, recording monitors along the way.
+    """Advance one path driven by noise up to cfg.n_steps, recording monitors.
 
-    start_step > 0 resumes from a checkpointed field (u0 is then the state at
-    that step); stop_at_step ends the run early; checkpoint_cb is invoked
-    every checkpoint_every completed steps with the current state. The path
-    runs as the batch of one of the ensemble loop.
+    A deterministic run passes a zero path, NoisePath(seed, dt, 0,
+    np.zeros(n_steps)). start_step > 0 resumes from a checkpointed field (u0
+    is then the state at that step); stop_at_step ends the run early;
+    checkpoint_cb is invoked every checkpoint_every completed steps with the
+    current state. The path runs as the batch of one of the ensemble loop.
     """
-    if noise is None:
-        if seed is None:
-            raise ValueError("need a seed or an explicit noise path")
-        noise = NoisePath.generate(seed, cfg.dt, cfg.n_steps)
-    else:
-        _check_noise(cfg, noise)
+    _check_noise(cfg, noise)
     if stepper is None:
         stepper = make_stepper(cfg)
     if not 0 <= start_step <= cfg.n_steps:
@@ -178,7 +172,7 @@ def run_paths(
     """Run one path per noise path; path i starts from u0, or from u0(i).
 
     The paths advance in batches of at most BATCH_CELLS // n^2 rows, and
-    each result equals run_path(cfg, u0, noise=noise) bit for bit. noises is
+    each result equals run_path(cfg, u0, noise) bit for bit. noises is
     consumed one batch at a time, so a generator holds only one batch of
     noise paths in memory.
     """
@@ -252,11 +246,12 @@ def _run_batch(
     tracker = (
         MartingaleTracker(cfg.dt, cfg.martingale_steps) if cfg.martingale_steps else None
     )
+    dt = noises[0].dt  # record and tau_R times are step * dt
     increments = np.stack([nz.increments[: cfg.n_steps] for nz in noises])
-    batch = PathBatch(u0, start_step, increments, noises[0].dt)
+    batch = PathBatch(u0, start_step, increments)
 
     def take_record():
-        recs, vl = record_path_sample(batch.u, batch.t)
+        recs, vl = record_path_sample(batch.u, batch.step * dt)
         for r, p in enumerate(paths):
             log = logs[p]
             log.records.append(recs[r])
@@ -268,7 +263,7 @@ def _run_batch(
         """Latch tau_R at the current time for rows whose ||D^2 u||_inf hit R/2."""
         nonlocal tau_hit
         for r in np.flatnonzero(hit & ~tau_hit):
-            logs[paths[r]].tau_r_time = batch.t
+            logs[paths[r]].tau_r_time = batch.step * dt
         tau_hit = tau_hit | hit
 
     def finish(leaving: dict):
@@ -410,8 +405,10 @@ SWEEP_AXES = tuple(SWEEP_FIELDS)
 class SweepPlan:
     """One sweep axis and its values; validated on construction.
 
-    ``configs`` holds one config per value, so an out-of-range value fails
-    here, before any ensemble runs.
+    Only the regularized forms read eta and epsilon, and only the truncated
+    one reads R, so a plan whose form ignores its axis is refused. ``configs``
+    holds one config per value, so an out-of-range value fails here, before
+    any ensemble runs.
     """
 
     axis: str
@@ -436,6 +433,12 @@ class SweepPlan:
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         base = self.base_config
+        if self.axis == "R" and base.form.kind is not FormKind.REGULARIZED_TRUNCATED:
+            raise ValueError("R sweeps need form = regularized_truncated")
+        if base.form.kind not in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
+            raise ValueError(
+                f"{self.axis} sweeps need form = regularized or regularized_truncated"
+            )
         name = SWEEP_FIELDS[self.axis]
         configs = tuple(replace(base, form=replace(base.form, **{name: v})) for v in vals)
         object.__setattr__(self, "configs", configs)

@@ -8,7 +8,7 @@ variation, gradient-energy and area inequalities) with explicit
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -38,20 +38,6 @@ __all__ = [
 # dt-refinement pilot (see tests); generous relative to the observed bias.
 DEFAULT_C_DT = 50.0
 
-RECORD_FIELDS = (
-    "t",
-    "grad_energy",
-    "area",
-    "mc_dissipation",
-    "laplace_dissipation",
-    "mass",
-    "gauss_bonnet",
-    "hess_linf",
-    "u_min",
-    "u_max",
-)
-
-
 @dataclass(frozen=True)
 class EnergyRecord:
     """One row of monitor output; field order matches the CSV schema."""
@@ -68,18 +54,11 @@ class EnergyRecord:
     u_max: float
 
     def as_row(self) -> tuple[float, ...]:
-        return (
-            self.t,
-            self.grad_energy,
-            self.area,
-            self.mc_dissipation,
-            self.laplace_dissipation,
-            self.mass,
-            self.gauss_bonnet,
-            self.hess_linf,
-            self.u_min,
-            self.u_max,
-        )
+        return tuple(getattr(self, name) for name in RECORD_FIELDS)
+
+
+# the CSV columns, in field order
+RECORD_FIELDS = tuple(f.name for f in fields(EnergyRecord))
 
 
 def record_path_sample(u: ScalarField | np.ndarray, t: float):

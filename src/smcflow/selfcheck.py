@@ -206,7 +206,7 @@ def check_mass_residual() -> tuple[bool, str]:
         dt=2e-4,
         n_steps=100,
     )
-    res = run_path(cfg, u0, seed=71)
+    res = run_path(cfg, u0, NoisePath.generate(71, cfg.dt, cfg.n_steps))
     return (
         res.max_mass_residual <= 1e-10,
         f"max per-step mass residual {res.max_mass_residual:.3e}",

@@ -176,12 +176,11 @@ def test_criterion_04_linear_mode_decay():
         dt=1e-4,
         n_steps=500,
         record_stride=10,
-        noise_off=True,
     )
     grid = cfg.grid
     x1, _ = grid.nodes()
     u0 = ScalarField(grid, 1e-3 * np.sin(TWO_PI * x1))
-    res = run_path(cfg, u0, seed=0)
+    res = run_path(cfg, u0, NoisePath(0, cfg.dt, 0, np.zeros(cfg.n_steps)))
     t = np.array([r.t for r in res.records])
     ge = np.array([r.grad_energy for r in res.records])
     # ge(t) = 2 pi^2 a(t)^2, so the fitted slope of log ge is -2 x decay rate
@@ -260,7 +259,7 @@ def test_criterion_08_truncation_transparency(suite5):
     )
     x1, _ = sharp_cfg.grid.nodes()
     sharp = ScalarField(sharp_cfg.grid, 0.5 * np.sin(TWO_PI * x1))
-    res = run_path(sharp_cfg, sharp, seed=1)
+    res = run_path(sharp_cfg, sharp, NoisePath.generate(1, sharp_cfg.dt, sharp_cfg.n_steps))
     print(f"crit08: R=30 trigger time {res.tau_r_time}  steps done {res.steps_done}")
     assert res.tau_r_triggered
     assert res.tau_r_time == 0.0

@@ -60,6 +60,34 @@ class TestRunCommand:
         assert first > 1e-3
         assert last < 1e-6
 
+    def test_rho_variant_default_dt_stays_bounded(self, tmp_path):
+        # with no dt, rho_variant at rho = 0.2 used to derive 0.25 h^2, above
+        # its linear bound: this run ended with grad_energy 2.58
+        cfg = write_cfg(tmp_path, (
+            "form = rho_variant\nrho = 0.2\nn = 16\nT = 0.2\n"
+            "initial_condition = random_smooth:3,3\n"
+        ))
+        out = tmp_path / "rho"
+        assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_OK
+        rows = (out / "series.csv").read_text().splitlines()
+        first, last = (float(r.split(",")[1]) for r in (rows[1], rows[-1]))
+        assert first > 1e-3
+        assert last < 1e-8
+
+    def test_dt_above_the_linear_bound_is_validation_error(self, tmp_path, capsys):
+        # Heun at n = 16 is stable up to dt = 5.17e-4; dt = 5.5e-4 ended at
+        # grad_energy 0.249 with exit 0
+        cfg = write_cfg(tmp_path, (
+            "form = stratonovich_mcf\nn = 16\ndt = 0.00055\nT = 0.22\n"
+            "initial_condition = random_smooth:3,3\n"
+        ))
+        out = tmp_path / "strat"
+        assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt = 0.00055 exceeds 0.000516945, the linear stability bound")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_exits_runtime(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -269,6 +297,28 @@ class TestSweepCommand:
         assert note.endswith(why)
         assert len(note.splitlines()) == 1
 
+    @pytest.mark.parametrize("form, axis, needed", [
+        ("ito_mcf", "eta", "eta sweeps need form = regularized or regularized_truncated"),
+        ("regularized", "R", "R sweeps need form = regularized_truncated"),
+    ])
+    def test_form_that_ignores_the_axis_is_validation_error(
+        self, tmp_path, capsys, monkeypatch, form, axis, needed
+    ):
+        # SweepPlan holds the rule; an R sweep of regularized used to be
+        # refused only here, and an eta plan built in code not at all
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("an ensemble ran before the form was checked")
+
+        monkeypatch.setattr(harness, "run_ensemble", no_ensemble)
+        text = BASE_CFG.replace("form = ito_mcf", f"form = {form}\neps = 0.1")
+        out = tmp_path / "s"
+        code = main(["sweep", write_cfg(tmp_path, text), "--axis", axis,
+                     "--values", "20,60", "--output-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(needed)
+        assert not out.exists()
+
     def test_axis_needs_matching_form(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)    # ito_mcf
         code = main(
@@ -334,6 +384,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["run", "ensemble"])
     @pytest.mark.parametrize("spec", [
         "flat:nan", "random_smooth:1,nan", "modes:[(1e400,0,1.0,0.0)]", "modes:[(1,0,1.0,None)]",
+        "modes:[(1,0,'0.5',True)]", "modes:[(True,0,0.5,0.0)]",
     ])
     def test_bad_initial_condition_is_validation_error(self, tmp_path, capsys, command, spec):
         # the first two used to abort at step 1 (exit 2) after making the

@@ -18,7 +18,7 @@ from smcflow.config import (
     to_model_form,
     RANDOM_SMOOTH_GRAD_BOUND,
 )
-from smcflow.dynamics import FormKind, ModelForm, default_dt
+from smcflow.dynamics import FormKind, ModelForm, default_dt, linear_dt_bound
 from smcflow.grid import GridSpec, gradient
 
 TWO_PI = 2.0 * math.pi
@@ -78,6 +78,40 @@ class TestParse:
             assert cfg.dt == resolve_dt(default_dt(strat, n), T)
             assert cfg.dt <= 0.05 / n**2 < 1.0 / (math.pi * n) ** 2
             assert parse_config(f"n = {n}\nT = {T}").dt == resolve_dt(default_dt(ITO, n), T)
+
+    def test_rho_variant_derived_dt_stays_under_half_its_bound(self):
+        # 0.25 h^2 exceeded this bound: rho = 0.2, n = 16, T = 0.2 ended at
+        # grad_energy 2.58 with exit 0
+        for rho, n in ((0.2, 16), (0.5, 64)):
+            form = ModelForm(FormKind.RHO_VARIANT, rho=rho)
+            cfg = parse_config(f"form = rho_variant\nrho = {rho}\nn = {n}\nT = 0.2")
+            assert cfg.dt == resolve_dt(default_dt(form, n), 0.2)
+            assert cfg.dt <= 0.5 * linear_dt_bound(form, n) < 0.25 / n**2
+        assert parse_config("form = rho_variant\nrho = 0.2\nn = 16\nT = 0.2").dt == 0.2 / 620
+
+    @pytest.mark.parametrize(
+        "text, bound",
+        [
+            ("form = stratonovich_mcf\nn = 16", 5.16945e-4),
+            ("form = rho_variant\nrho = 0.2\nn = 16", 6.46181e-4),
+        ],
+        ids=["heun", "rho_variant"],
+    )
+    def test_explicit_dt_above_the_linear_bound_rejected(self, text, bound):
+        assert linear_dt_bound(to_model_form(parse_config(text)), 16) == pytest.approx(bound, rel=1e-5)
+        # dt = 5e-4 sits just below the Heun bound, so it passes
+        parse_config(text + "\ndt = 0.0005\nT = 0.2")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "\ndt = 0.0008\nT = 0.2")
+        message = str(err.value)
+        assert f"{bound:.6g}, the linear stability bound" in message
+        assert "necessary, not sufficient" in message
+        derived = parse_config(text + "\nT = 0.2").dt
+        assert f"leave dt unset to derive dt = {derived!r}" in message
+
+    def test_unbounded_forms_keep_any_dt(self):
+        for form in ("ito_mcf", "ito_anisotropic", "regularized", "rho_variant\nrho = 1.5"):
+            assert parse_config(f"form = {form}\nn = 16\ndt = 0.01\nT = 0.1").dt == 0.01
 
     def test_explicit_dt_kept(self):
         cfg = parse_config("dt = 0.001\nT = 0.1")
@@ -166,8 +200,8 @@ class TestModelMapping:
         mc = to_model_config(cfg)
         assert (mc.n, mc.dt, mc.n_steps, mc.record_stride) == (16, 1e-3, 20, 5)
         assert mc.form == ITO
-        mc2 = to_model_config(cfg, noise_off=True, martingale_steps=(10, 20))
-        assert mc2.noise_off and mc2.martingale_steps == (10, 20)
+        mc2 = to_model_config(cfg, stop_at_tau_r=True, record_stride=4)
+        assert mc2.stop_at_tau_r and mc2.record_stride == 4
 
 
 class TestInitialSpecs:
@@ -203,6 +237,13 @@ class TestInitialSpecs:
             ("modes:[('a',0,1.0,0.0)]", r"needs finite \(k1, k2, amp, phase\)"),
             ("modes:[(1,0,'x',0.0)]", r"needs finite \(k1, k2, amp, phase\)"),
             ("modes:[(1,0,1.0,None)]", r"needs finite \(k1, k2, amp, phase\)"),
+            # strings and bools used to pass through int() and float()
+            ("modes:[(1,0,'0.5',0.0)]", r"needs finite \(k1, k2, amp, phase\)"),
+            ("modes:[(1,0,0.5,True)]", r"needs finite \(k1, k2, amp, phase\)"),
+            ("modes:[(True,0,0.5,0.0)]", "mode numbers must be integers"),
+            ("modes:[(1,False,0.5,0.0)]", "mode numbers must be integers"),
+            ("modes:[(1.0,0,0.5,0.0)]", "mode numbers must be integers"),
+            ("modes:[(1,0,0.5+1j,0.0)]", r"needs finite \(k1, k2, amp, phase\)"),
             # int() takes it, but the field's k . x would overflow
             pytest.param(f"modes:[({10**400},0,1.0,0.0)]", r"needs finite \(k1, k2, amp, phase\)",
                          id="modes:k1=10^400"),

@@ -18,6 +18,7 @@ from smcflow.dynamics import (
     diffusion,
     drift,
     explicit_terms,
+    linear_dt_bound,
     mild_picard_iterate,
     truncate_hessian_arrays,
 )
@@ -290,13 +291,62 @@ class TestStepperConstruction:
             EmImexStepper(GridSpec(16), ModelForm(FormKind.ITO_MCF), 0.0)
 
     def test_default_dt(self):
-        # 0.05 h^2 keeps Heun under its bound h^2 / pi^2; em_imex takes 0.25 h^2
+        # 0.05 h^2 keeps Heun under half its linear bound; em_imex takes 0.25 h^2
         for kind in FormKind:
             regularized = kind in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED)
             form = ModelForm(kind, eps=0.1) if regularized else ModelForm(kind)
             c = 0.05 if kind is FormKind.STRATONOVICH_MCF else 0.25
             assert default_dt(form, 16) == c / 256
             assert default_dt(form, 64) == c / 4096
+        # half the linear bound caps the proxy only for rho_variant with rho < 1,
+        # and close to rho = 1 not yet at n = 16
+        rho = ModelForm(FormKind.RHO_VARIANT, rho=0.2)
+        for n in (16, 64):
+            assert default_dt(rho, n) == 0.5 * linear_dt_bound(rho, n) < 0.25 / n**2
+        assert default_dt(ModelForm(FormKind.RHO_VARIANT, rho=0.9), 16) == 0.25 / 256
+
+
+class TestLinearDtBound:
+    """linear_dt_bound separates damped from growing modes of a flat graph."""
+
+    RHO = ModelForm(FormKind.RHO_VARIANT, rho=0.2)
+    HEUN = ModelForm(FormKind.STRATONOVICH_MCF)
+
+    def test_bound_per_form(self):
+        # the binding mode is k = (n/2 - 1, n/2 - 1): 4 pi^2 |k|^2 = 8 pi^2 (n/2 - 1)^2
+        top = 8.0 * math.pi**2 * 7**2
+        assert linear_dt_bound(self.HEUN, 16) == pytest.approx(2.0 / top, rel=1e-12)
+        assert linear_dt_bound(self.HEUN, 16) == pytest.approx(5.17e-4, rel=1e-3)
+        assert linear_dt_bound(self.RHO, 16) == pytest.approx(2.0 / (0.8 * top), rel=1e-12)
+        unbounded = [
+            ModelForm(FormKind.ITO_MCF),
+            ModelForm(FormKind.ITO_ANISOTROPIC),
+            ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-3),
+            ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=30.0),
+            ModelForm(FormKind.RHO_VARIANT, rho=1.0),
+            ModelForm(FormKind.RHO_VARIANT, rho=1.5),
+        ]
+        for form in unbounded:
+            for n in (8, 16, 64, 256):
+                assert linear_dt_bound(form, n) == math.inf, (form, n)
+
+    @pytest.mark.parametrize("form", [HEUN, RHO], ids=["heun", "rho_variant"])
+    def test_mode_decays_below_and_grows_above(self, form):
+        grid = GridSpec(16)
+        x1, x2 = grid.nodes()
+        u0 = ScalarField(grid, 1e-8 * np.cos(TWO_PI * 7 * (x1 + x2)))
+        bound = linear_dt_bound(form, 16)
+        cls = HeunStratStepper if form is self.HEUN else EmImexStepper
+        growth = {}
+        for factor in (0.98, 1.02):
+            dt = factor * bound
+            state = PathState(u=u0, step=0, noise=NoisePath(0, dt, 0, np.zeros(100)))
+            stepper = cls(grid, form, dt)
+            for _ in range(100):
+                state, _ = stepper.step(state)
+            growth[factor] = np.max(np.abs(state.u.values)) / 1e-8
+        assert growth[0.98] < 1.0
+        assert growth[1.02] > 10.0
 
 
 class TestFlatExactness:
@@ -344,16 +394,6 @@ class TestStepMechanics:
             for _ in range(8):
                 state, audit = stepper.step(state)
                 assert abs(audit.mass_residual) <= 1e-10
-
-    def test_noise_off_is_deterministic(self):
-        grid = GridSpec(16)
-        a = PathState(u=smooth_u0(grid), step=0, noise=NoisePath.generate(1, 1e-3, 4))
-        b = PathState(u=smooth_u0(grid), step=0, noise=NoisePath.generate(2, 1e-3, 4))
-        form = ModelForm(FormKind.ITO_MCF)
-        sa = EmImexStepper(grid, form, 1e-3, noise_off=True)
-        ra, _ = sa.step(a)
-        rb, _ = sa.step(b)
-        np.testing.assert_array_equal(ra.u.values, rb.u.values)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_field_reported(self):
@@ -427,15 +467,15 @@ class TestSelfConvergence:
 
 class TestDecayRate:
     def test_linearized_mode_decay(self):
-        # noise off, small amplitude: d/dt u ~ Lap u, first mode halves the
+        # zero noise path, small amplitude: d/dt u ~ Lap u, first mode halves the
         # gradient energy at rate 2 * 4 pi^2; implicit Euler biases the fitted
         # rate to log(1 + 4 pi^2 dt)/dt, within 1 percent at dt = 1e-4
         grid = GridSpec(16)
         x1, _ = grid.nodes()
         u0 = ScalarField(grid, 1e-3 * np.sin(TWO_PI * x1))
-        noise = NoisePath.generate(0, 1e-4, 300)
+        noise = NoisePath(0, 1e-4, 0, np.zeros(300))
         state = PathState(u=u0, step=0, noise=noise)
-        stepper = EmImexStepper(grid, ModelForm(FormKind.ITO_ANISOTROPIC), 1e-4, noise_off=True)
+        stepper = EmImexStepper(grid, ModelForm(FormKind.ITO_ANISOTROPIC), 1e-4)
         energies = [grad_energy(state.u)]
         for _ in range(300):
             state, _ = stepper.step(state)
@@ -448,11 +488,9 @@ class TestDecayRate:
         grid = GridSpec(16)
         x1, _ = grid.nodes()
         u0 = ScalarField(grid, 1e-3 * np.sin(TWO_PI * x1))
-        noise = NoisePath.generate(0, 1e-4, 300)
+        noise = NoisePath(0, 1e-4, 0, np.zeros(300))
         state = PathState(u=u0, step=0, noise=noise)
-        stepper = HeunStratStepper(
-            grid, ModelForm(FormKind.STRATONOVICH_MCF), 1e-4, noise_off=True
-        )
+        stepper = HeunStratStepper(grid, ModelForm(FormKind.STRATONOVICH_MCF), 1e-4)
         energies = [grad_energy(state.u)]
         for _ in range(300):
             state, _ = stepper.step(state)

@@ -38,6 +38,11 @@ def ito_config(**kw):
     return ModelConfig(**base)
 
 
+def path_noise(cfg, base_seed, i):
+    """The noise path run_ensemble gives path i."""
+    return NoisePath.generate(path_seed(base_seed, i), cfg.dt, cfg.n_steps)
+
+
 def assert_same_path(batched, alone):
     """Bitwise equality of everything a path run reports."""
     assert batched.seed == alone.seed
@@ -109,8 +114,8 @@ class TestRunPath:
     def test_flat_path_bookkeeping(self):
         cfg = ito_config(n_steps=25)
         grid = cfg.grid
-        res = run_path(cfg, ScalarField.constant(grid, 0.4), seed=7)
         noise = NoisePath.generate(7, cfg.dt, cfg.n_steps)
+        res = run_path(cfg, ScalarField.constant(grid, 0.4), noise)
         assert res.seed == 7
         assert res.record_steps == [0, 10, 20, 25]
         assert [r.t for r in res.records] == pytest.approx([0.0, 0.01, 0.02, 0.025])
@@ -123,14 +128,12 @@ class TestRunPath:
     def test_noise_path_validation(self):
         cfg = ito_config()
         u0 = ScalarField.constant(cfg.grid, 0.0)
-        with pytest.raises(ValueError, match="seed or an explicit noise"):
-            run_path(cfg, u0)
         with pytest.raises(ValueError, match="does not match the config dt"):
             run_path(cfg, u0, noise=NoisePath.generate(0, 2e-3, 20))
         with pytest.raises(ValueError, match="shorter than the run"):
             run_path(cfg, u0, noise=NoisePath.generate(0, 1e-3, 10))
         with pytest.raises(ValueError, match="start_step"):
-            run_path(cfg, u0, seed=0, start_step=25)
+            run_path(cfg, u0, NoisePath.generate(0, cfg.dt, 20), start_step=25)
 
     def test_resume_matches_uninterrupted(self):
         cfg = ito_config(n_steps=10)
@@ -148,7 +151,7 @@ class TestRunPath:
         cfg = ito_config(n_steps=20)
         seen = []
         run_path(
-            cfg, ScalarField.constant(cfg.grid, 0.0), seed=3,
+            cfg, ScalarField.constant(cfg.grid, 0.0), NoisePath.generate(3, cfg.dt, 20),
             checkpoint_every=6, checkpoint_cb=lambda st: seen.append(st.step),
         )
         assert seen == [6, 12, 18]
@@ -159,13 +162,13 @@ class TestRunPath:
         grid = cfg.grid
         x1, _ = grid.nodes()
         huge = ScalarField(grid, 1e160 * np.sin(TWO_PI * x1))
-        res = run_path(cfg, huge, seed=0)
+        noise = NoisePath.generate(0, cfg.dt, cfg.n_steps)
+        res = run_path(cfg, huge, noise)
         assert res.censored
         assert res.blowup_step == 1
         assert res.blowup_index == (0, 0)
         assert res.steps_done == 0
         assert len(res.records) == 1    # the initial sample is still taken
-        noise = NoisePath.generate(0, cfg.dt, cfg.n_steps)
         with pytest.raises(NonFiniteFieldError) as err:
             make_stepper(cfg).step(PathState(huge, 0, noise))
         assert res.blowup_index == err.value.index
@@ -181,7 +184,7 @@ class TestRunPath:
             form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=30.0),
             n_steps=10, stop_at_tau_r=True,
         )
-        res = run_path(cfg, steep, seed=1)
+        res = run_path(cfg, steep, NoisePath.generate(1, cfg.dt, cfg.n_steps))
         assert res.tau_r_triggered
         assert res.tau_r_time == 0.0
         assert res.steps_done == 0
@@ -194,13 +197,13 @@ class TestRunPath:
             form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=30.0),
             n_steps=10,
         )
-        res = run_path(cfg, steep, seed=1)
+        res = run_path(cfg, steep, NoisePath.generate(1, cfg.dt, cfg.n_steps))
         assert res.tau_r_triggered and res.tau_r_time == 0.0
         assert res.steps_done == 10
 
     def test_audits_and_martingale_samples(self):
         cfg = ito_config(n_steps=20, martingale_steps=(10, 20))
-        res = run_path(cfg, smooth_u0(cfg.grid), seed=5)
+        res = run_path(cfg, smooth_u0(cfg.grid), NoisePath.generate(5, cfg.dt, cfg.n_steps))
         assert [s.step for s in res.martingale_samples] == [10, 20]
 
 
@@ -250,7 +253,7 @@ class TestRunEnsemble:
         assert rep.results[2].blowup_index == (0, 0)
         for i, res in enumerate(rep.results):
             if i != 2:
-                assert_same_path(res, run_path(cfg, u0(i), seed=path_seed(0, i)))
+                assert_same_path(res, run_path(cfg, u0(i), path_noise(cfg, 0, i)))
 
     def test_martingale_report_wired(self):
         cfg = ito_config(n_steps=20, martingale_steps=(10, 20))
@@ -282,7 +285,7 @@ class TestBatchParity:
     def check(self, cfg):
         rep = run_ensemble(cfg, self.u0, self.N_PATHS, self.SEED)
         for i, res in enumerate(rep.results):
-            assert_same_path(res, run_path(cfg, self.u0(i), seed=path_seed(self.SEED, i)))
+            assert_same_path(res, run_path(cfg, self.u0(i), path_noise(cfg, self.SEED, i)))
         return rep
 
     def test_ito_mcf(self):
@@ -344,7 +347,7 @@ class TestBatchParity:
         assert rep.results[1].blowup_index != rep.results[3].blowup_index
         assert len(rep.results[2].martingale_samples) == 1
         for i, res in enumerate(rep.results):
-            assert_same_path(res, run_path(cfg, u0(i), seed=path_seed(0, i)))
+            assert_same_path(res, run_path(cfg, u0(i), path_noise(cfg, 0, i)))
 
 
 class TestRunPaths:
@@ -418,6 +421,23 @@ class TestSweepPlan:
             SweepPlan(axis="epsilon", values=(0.4, 1.5), base_config=reg,
                       n_paths=2, base_seed=0)
 
+    def test_form_must_read_the_axis(self):
+        # an eta plan on ito_mcf used to report mean_diffs [0.] and cauchy True,
+        # an R plan on regularized untriggered_bit_identical True
+        reg = ito_config(form=ModelForm(FormKind.REGULARIZED, eps=0.4))
+        trunc = ito_config(form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.4, r_trunc=20.0))
+        for axis, values in (("eta", (1e-3, 0.0)), ("epsilon", (0.4, 0.2))):
+            with pytest.raises(ValueError, match="need form = regularized or regularized_truncated"):
+                SweepPlan(axis=axis, values=values, base_config=self.base(),
+                          n_paths=2, base_seed=0)
+            for base in (reg, trunc):
+                SweepPlan(axis=axis, values=values, base_config=base, n_paths=2, base_seed=0)
+        for base in (self.base(), reg):
+            with pytest.raises(ValueError, match="R sweeps need form = regularized_truncated"):
+                SweepPlan(axis="R", values=(20.0, 60.0), base_config=base,
+                          n_paths=2, base_seed=0)
+        SweepPlan(axis="R", values=(20.0, 60.0), base_config=trunc, n_paths=2, base_seed=0)
+
 
 class TestSweeps:
     def test_eta_sweep_is_cauchy(self):
@@ -436,7 +456,8 @@ class TestSweeps:
         assert rep.cauchy
 
     def test_eta_sweep_axis_guard(self):
-        plan = SweepPlan(axis="epsilon", values=(0.4, 0.2), base_config=ito_config(),
+        reg = ito_config(form=ModelForm(FormKind.REGULARIZED, eps=0.4))
+        plan = SweepPlan(axis="epsilon", values=(0.4, 0.2), base_config=reg,
                          n_paths=2, base_seed=0)
         with pytest.raises(ValueError, match="axis must be 'eta'"):
             sweep_eta(plan, ScalarField.constant(GridSpec(16), 0.0))

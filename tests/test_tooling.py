@@ -16,10 +16,10 @@ import inspect
 from pathlib import Path
 
 from smcflow.config import RunConfig
-from smcflow.dynamics import EmImexStepper, HeunStratStepper
+from smcflow.dynamics import EmImexStepper, HeunStratStepper, PathBatch
 from smcflow.geometry import cofactor_flux_residual, geometry_bundle
 from smcflow.grid import divergence, gradient, hessian, laplacian
-from smcflow.harness import ModelConfig
+from smcflow.harness import ModelConfig, run_ensemble, run_path, run_paths
 from smcflow.monitors import MartingaleTracker, gradient_inequality_check, record_path_sample
 from smcflow.noise import NoisePath
 
@@ -91,9 +91,19 @@ def test_option_surface_is_pinned():
         return list(inspect.signature(fn).parameters)
 
     assert [f.name for f in dataclasses.fields(ModelConfig)] == [
-        "form", "n", "dt", "n_steps", "record_stride", "noise_off",
-        "martingale_steps", "stop_at_tau_r",
+        "form", "n", "dt", "n_steps", "record_stride", "martingale_steps", "stop_at_tau_r",
     ]
+    # a path is driven by its initial field and an explicit noise path only;
+    # a deterministic run passes a zero path
+    assert params(run_path) == [
+        "cfg", "u0", "noise", "stepper", "start_step", "stop_at_step",
+        "checkpoint_every", "checkpoint_cb",
+    ]
+    assert params(run_paths) == ["cfg", "u0", "noises"]
+    assert params(run_ensemble) == ["cfg", "u0", "n_paths", "base_seed"]
+    assert params(EmImexStepper.__init__) == ["self", "grid", "form", "dt"]
+    assert params(HeunStratStepper.__init__) == ["self", "grid", "form", "dt"]
+    assert [f.name for f in dataclasses.fields(PathBatch)] == ["u", "step", "increments"]
     # the user-facing config keys
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
         "form", "n", "dt", "T", "eps", "eta", "bigK", "R", "rho", "n_paths",
