@@ -7,13 +7,23 @@ reductions equal the one-row ones bit for bit, so every path of an ensemble
 equals its one-path run. Every ensemble result is a pure function of
 (config, base_seed): per-path noise comes from a counter-derived seed, and
 all reductions run in path-index order.
+
+Ensembles and explicit noise-path runs split their P paths into W
+contiguous slices in path order, W = the usable core count clamped to
+[1, P] (see worker_count). The calling process runs slice 0 and one forked
+child runs each other slice and pipes its pickled results back; they are
+joined in path order. Since rows never interact, every bit is the same at
+every W. A process that runs other threads never forks.
 """
 from __future__ import annotations
 
-import itertools
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,6 +60,7 @@ __all__ = [
     "run_path",
     "run_paths",
     "run_ensemble",
+    "worker_count",
     "sweep_eta",
     "sweep_epsilon",
     "sweep_R",
@@ -171,23 +182,127 @@ def run_paths(
 ) -> list[PathResult]:
     """Run one path per noise path; path i starts from u0, or from u0(i).
 
-    The paths advance in batches of at most BATCH_CELLS // n^2 rows, and
-    each result equals run_path(cfg, u0, noise) bit for bit. noises is
-    consumed one batch at a time, so a generator holds only one batch of
-    noise paths in memory.
+    Every noise path is checked before any path runs. The paths advance in
+    worker slices (see worker_count), each in batches of at most
+    BATCH_CELLS // n^2 rows, and each result equals run_path(cfg, u0, noise)
+    bit for bit.
     """
+    noises = list(noises)
+    for nz in noises:
+        _check_noise(cfg, nz)
+    return _run_slices(cfg, u0, len(noises), noises.__getitem__)
+
+
+def worker_count() -> int:
+    """Worker processes for run_paths and run_ensemble.
+
+    Every core this process may run on, or 1 without os.fork or while other
+    threads run: a child forked while another thread holds a lock can
+    deadlock.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_slices(
+    cfg: ModelConfig,
+    u0: ScalarField | Callable[[int], ScalarField],
+    n_paths: int,
+    noise_of: Callable[[int], NoisePath],
+) -> list[PathResult]:
+    """Run paths 0..n_paths-1, path i driven by noise_of(i), in path order.
+
+    Slice w of W holds paths [P*w//W, P*(w+1)//W). Slices 1..W-1 run in
+    forked children, started before this process runs slice 0, so each
+    slice draws its own noise in its own process. Every child is reaped on
+    every exit; on a failure the remaining ones are killed first.
+    """
+    workers = min(worker_count(), n_paths)
+    if workers <= 1:
+        return _run_slice(cfg, u0, 0, n_paths, noise_of)
+    bounds = [n_paths * w // workers for w in range(workers + 1)]
+    children: dict[int, tuple[int, BinaryIO]] = {}
+    try:
+        for w in range(1, workers):
+            children[w] = _fork_slice(cfg, u0, bounds[w], bounds[w + 1], noise_of)
+        results = _run_slice(cfg, u0, bounds[0], bounds[1], noise_of)
+        for w in range(1, workers):
+            pid, pipe = children[w]
+            try:
+                ok, payload = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                ok, payload = None, None
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del children[w]
+            if ok is None:
+                raise RuntimeError(
+                    f"the worker for paths [{bounds[w]}, {bounds[w + 1]}) ended without "
+                    f"a result (exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            if not ok:
+                exc, child_tb = payload
+                raise exc from RuntimeError(
+                    f"in the worker for paths [{bounds[w]}, {bounds[w + 1]}):\n{child_tb}"
+                )
+            results += payload
+        return results
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_slice(cfg, u0, lo, hi, noise_of) -> tuple[int, BinaryIO]:
+    """Fork a child that runs paths [lo, hi) and pickles the outcome into a pipe.
+
+    The outcome is (True, results) or (False, (exception, traceback text)).
+    The child leaves by os._exit, so it never returns into the caller.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (True, _run_slice(cfg, u0, lo, hi, noise_of))
+        except BaseException as e:  # re-raised in the parent
+            import traceback  # only a failing child needs it
+
+            outcome = (False, (_portable(e), traceback.format_exc()))
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """exc if it survives a pickle round trip, else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _run_slice(cfg, u0, lo, hi, noise_of) -> list[PathResult]:
+    """Paths lo..hi-1 in batches of at most BATCH_CELLS // n^2 rows."""
     stepper = make_stepper(cfg)
     rows = max(1, BATCH_CELLS // (cfg.n * cfg.n))
-    pending = iter(noises)
     results: list[PathResult] = []
-    while chunk := list(itertools.islice(pending, rows)):
-        for nz in chunk:
-            _check_noise(cfg, nz)
-        first = len(results)
-        u = np.stack([
-            (u0(first + k) if callable(u0) else u0).values for k in range(len(chunk))
-        ])
-        results += _run_batch(cfg, stepper, u, chunk)
+    for first in range(lo, hi, rows):
+        paths = range(first, min(first + rows, hi))
+        noises = [noise_of(i) for i in paths]
+        u = np.stack([(u0(i) if callable(u0) else u0).values for i in paths])
+        results += _run_batch(cfg, stepper, u, noises)
     return results
 
 
@@ -364,16 +479,17 @@ def run_ensemble(
 ) -> EnsembleReport:
     """Monte Carlo ensemble with per-path derived seeds and ordered reduction.
 
-    The paths advance together through run_paths; each path's result
-    equals its one-path run_path bit for bit.
+    The paths advance in worker slices and batches as in run_paths, each
+    slice drawing only its own paths' noise; each path's result equals its
+    one-path run_path bit for bit.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     t0 = time.perf_counter()
-    results = run_paths(cfg, u0, (
-        NoisePath.generate(path_seed(base_seed, i), cfg.dt, cfg.n_steps)
-        for i in range(n_paths)
-    ))
+    results = _run_slices(
+        cfg, u0, n_paths,
+        lambda i: NoisePath.generate(path_seed(base_seed, i), cfg.dt, cfg.n_steps),
+    )
 
     n_censored = sum(1 for r in results if r.censored)
     mart = None

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from smcflow import harness
 from smcflow.cli import main
 from smcflow.config import random_smooth_field
 from smcflow.dynamics import (
@@ -406,9 +407,9 @@ def test_criterion_12_engineering_determinism(tmp_path, monkeypatch, capsys):
     assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
 
     ens_1, ens_4 = tmp_path / "w1", tmp_path / "w4"
-    monkeypatch.setenv("SMCFLOW_WORKERS", "1")
+    monkeypatch.setattr(harness, "worker_count", lambda: 1)
     assert main(["ensemble", str(cfg), "--output-dir", str(ens_1)]) == 0
-    monkeypatch.setenv("SMCFLOW_WORKERS", "4")
+    monkeypatch.setattr(harness, "worker_count", lambda: 4)
     assert main(["ensemble", str(cfg), "--output-dir", str(ens_4)]) == 0
     assert (ens_1 / "ensemble.csv").read_bytes() == (ens_4 / "ensemble.csv").read_bytes()
 

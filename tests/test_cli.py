@@ -226,14 +226,27 @@ class TestEnsembleCommand:
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         out_1, out_4 = tmp_path / "w1", tmp_path / "w4"
-        monkeypatch.setenv("SMCFLOW_WORKERS", "1")
+        monkeypatch.setattr(harness, "worker_count", lambda: 1)
         assert main(["ensemble", cfg, "--output-dir", str(out_1)]) == EXIT_OK
-        monkeypatch.setenv("SMCFLOW_WORKERS", "4")
+        monkeypatch.setattr(harness, "worker_count", lambda: 4)
         assert main(["ensemble", cfg, "--output-dir", str(out_4)]) == EXIT_OK
         assert (out_1 / "ensemble.csv").read_bytes() == (out_4 / "ensemble.csv").read_bytes()
 
 
 class TestSweepCommand:
+    def test_worker_count_invariance(self, tmp_path, monkeypatch):
+        text = BASE_CFG.replace("form = ito_mcf", "form = regularized\neps = 0.1\nbigK = 3")
+        cfg = write_cfg(tmp_path, text)
+        tables = []
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "worker_count", lambda: workers)
+            out = tmp_path / f"w{workers}"
+            argv = ["sweep", cfg, "--axis", "eta", "--values", "0.001,0.0001,0.0",
+                    "--output-dir", str(out)]
+            assert main(argv) == EXIT_OK
+            tables.append((out / "sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_eta_sweep_writes_table(self, tmp_path, capsys):
         text = BASE_CFG.replace("form = ito_mcf", "form = regularized\neps = 0.1\nbigK = 3")
         cfg = write_cfg(tmp_path, text)

@@ -1,5 +1,7 @@
 """Tests for path runs, ensembles and sweeps."""
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -41,6 +43,21 @@ def ito_config(**kw):
 def path_noise(cfg, base_seed, i):
     """The noise path run_ensemble gives path i."""
     return NoisePath.generate(path_seed(base_seed, i), cfg.dt, cfg.n_steps)
+
+
+def worker_counts(n_paths):
+    """Worker counts that put slice edges at every kind of row."""
+    return (1, 2, 3, n_paths + 1)
+
+
+def use_workers(monkeypatch, workers):
+    """Run the ensembles and noise-path runs that follow in that many workers."""
+    monkeypatch.setattr(harness, "worker_count", lambda: workers)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_same_path(batched, alone):
@@ -221,16 +238,16 @@ class TestRunEnsemble:
     def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = ito_config(n_steps=10)
         u0 = smooth_u0(cfg.grid)
-        monkeypatch.setenv("SMCFLOW_WORKERS", "1")
+        use_workers(monkeypatch, 1)
         serial = run_ensemble(cfg, u0, n_paths=6, base_seed=9)
-        monkeypatch.setenv("SMCFLOW_WORKERS", "3")
+        use_workers(monkeypatch, 3)
         pooled = run_ensemble(cfg, u0, n_paths=6, base_seed=9)
         for ra, rb in zip(serial.results, pooled.results):
             np.testing.assert_array_equal(ra.terminal.values, rb.terminal.values)
             assert ra.records == rb.records
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_censor_accounting(self):
+    def test_censor_accounting(self, monkeypatch):
         cfg = ito_config(n_steps=5)
         grid = cfg.grid
 
@@ -241,19 +258,22 @@ class TestRunEnsemble:
                 return ScalarField(grid, 1e160 * np.sin(TWO_PI * x1))
             return ScalarField.constant(grid, 0.1 * i)
 
-        rep = run_ensemble(cfg, u0, n_paths=8, base_seed=0)
-        assert rep.n_censored == 1
-        assert rep.censor_rate == pytest.approx(1 / 8)
-        assert not rep.ok
-        assert len(rep.uncensored()) == 7
-        mat = rep.records_matrix("mass")
-        assert mat.shape == (7, 2)     # records at steps 0 and 5
-        assert rep.total_steps == 7 * 5
-        assert rep.results[2].blowup_step == 1
-        assert rep.results[2].blowup_index == (0, 0)
-        for i, res in enumerate(rep.results):
-            if i != 2:
-                assert_same_path(res, run_path(cfg, u0(i), path_noise(cfg, 0, i)))
+        singles = [run_path(cfg, u0(i), path_noise(cfg, 0, i)) for i in range(8)]
+        for workers in worker_counts(8):
+            use_workers(monkeypatch, workers)
+            rep = run_ensemble(cfg, u0, n_paths=8, base_seed=0)
+            assert rep.n_censored == 1
+            assert rep.censor_rate == pytest.approx(1 / 8)
+            assert not rep.ok
+            assert len(rep.uncensored()) == 7
+            mat = rep.records_matrix("mass")
+            assert mat.shape == (7, 2)     # records at steps 0 and 5
+            assert rep.total_steps == 7 * 5
+            assert rep.results[2].blowup_step == 1
+            assert rep.results[2].blowup_index == (0, 0)
+            for i, (res, alone) in enumerate(zip(rep.results, singles)):
+                if i != 2:
+                    assert_same_path(res, alone)
 
     def test_martingale_report_wired(self):
         cfg = ito_config(n_steps=20, martingale_steps=(10, 20))
@@ -282,41 +302,51 @@ class TestBatchParity:
         a = 0.1 + 0.05 * i
         return ScalarField(grid, a * np.sin(TWO_PI * x1) + 0.2 * np.cos(TWO_PI * x2))
 
-    def check(self, cfg):
-        rep = run_ensemble(cfg, self.u0, self.N_PATHS, self.SEED)
-        for i, res in enumerate(rep.results):
-            assert_same_path(res, run_path(cfg, self.u0(i), path_noise(cfg, self.SEED, i)))
+    def check(self, cfg, monkeypatch):
+        """Compare every row with its one-path run at each worker count."""
+        singles = [run_path(cfg, self.u0(i), path_noise(cfg, self.SEED, i))
+                   for i in range(self.N_PATHS)]
+        for workers in worker_counts(self.N_PATHS):
+            use_workers(monkeypatch, workers)
+            rep = run_ensemble(cfg, self.u0, self.N_PATHS, self.SEED)
+            assert len(rep.results) == self.N_PATHS
+            for res, alone in zip(rep.results, singles):
+                assert_same_path(res, alone)
         return rep
 
-    def test_ito_mcf(self):
-        rep = self.check(ito_config(n_steps=30, record_stride=7, martingale_steps=(10, 30)))
+    def test_ito_mcf(self, monkeypatch):
+        rep = self.check(
+            ito_config(n_steps=30, record_stride=7, martingale_steps=(10, 30)), monkeypatch
+        )
         assert all(len(r.martingale_samples) == 2 for r in rep.results)
 
     def test_ensemble_split_over_batches(self, monkeypatch):
         monkeypatch.setattr(harness, "BATCH_CELLS", 4 * 16 * 16)  # batches of 4 and 2
-        self.check(ito_config(n_steps=30, record_stride=7, martingale_steps=(10, 30)))
+        self.check(
+            ito_config(n_steps=30, record_stride=7, martingale_steps=(10, 30)), monkeypatch
+        )
 
-    def test_regularized_with_eta(self):
+    def test_regularized_with_eta(self, monkeypatch):
         self.check(ito_config(
             form=ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-3, big_k=1),
             dt=1e-4, n_steps=30, record_stride=7, martingale_steps=(10, 30),
-        ))
+        ), monkeypatch)
 
-    def test_stratonovich_heun(self):
+    def test_stratonovich_heun(self, monkeypatch):
         self.check(ModelConfig(
             form=ModelForm(FormKind.STRATONOVICH_MCF),
             n=16, dt=1e-4, n_steps=30, record_stride=7, martingale_steps=(10, 30),
-        ))
+        ), monkeypatch)
 
     @pytest.mark.parametrize("stop", [False, True])
-    def test_truncated_with_triggers(self, stop):
+    def test_truncated_with_triggers(self, stop, monkeypatch):
         # R/2 = 12.5: row 5 starts above it; row 4 (hess sup ~11.8) reaches
         # it only after steps with the big increments of dt = 2e-3
         cfg = ito_config(
             form=ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=25.0),
             dt=2e-3, n_steps=30, record_stride=7, stop_at_tau_r=stop,
         )
-        rep = self.check(cfg)
+        rep = self.check(cfg, monkeypatch)
         times = [r.tau_r_time for r in rep.results]
         assert times[5] == 0.0
         assert any(t is not None and t > 0.0 for t in times)
@@ -326,7 +356,7 @@ class TestBatchParity:
             assert any(r.steps_done == cfg.n_steps for r in rep.results)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_heun_blowups_leave_other_rows_unchanged(self):
+    def test_heun_blowups_leave_other_rows_unchanged(self, monkeypatch):
         cfg = ModelConfig(
             form=ModelForm(FormKind.STRATONOVICH_MCF),
             n=16, dt=1e-3, n_steps=5, record_stride=5, martingale_steps=(2, 5),
@@ -342,12 +372,15 @@ class TestBatchParity:
                 return smooth_u0(cfg.grid)
             return ScalarField(cfg.grid, amp * np.sin(TWO_PI * x1))
 
-        rep = run_ensemble(cfg, u0, 5, base_seed=0)
-        assert [r.blowup_step for r in rep.results] == [None, 1, 3, 1, None]
-        assert rep.results[1].blowup_index != rep.results[3].blowup_index
-        assert len(rep.results[2].martingale_samples) == 1
-        for i, res in enumerate(rep.results):
-            assert_same_path(res, run_path(cfg, u0(i), path_noise(cfg, 0, i)))
+        singles = [run_path(cfg, u0(i), path_noise(cfg, 0, i)) for i in range(5)]
+        for workers in worker_counts(5):
+            use_workers(monkeypatch, workers)
+            rep = run_ensemble(cfg, u0, 5, base_seed=0)
+            assert [r.blowup_step for r in rep.results] == [None, 1, 3, 1, None]
+            assert rep.results[1].blowup_index != rep.results[3].blowup_index
+            assert len(rep.results[2].martingale_samples) == 1
+            for res, alone in zip(rep.results, singles):
+                assert_same_path(res, alone)
 
 
 class TestRunPaths:
@@ -395,6 +428,111 @@ class TestRunPaths:
         with pytest.raises(ValueError, match="shorter than the run"):
             run_paths(cfg, u0, [NoisePath.generate(0, 1e-3, 20), NoisePath.generate(1, 1e-3, 10)])
         assert run_paths(cfg, u0, []) == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_slices_of_several_batches(self, workers, monkeypatch):
+        # batches of 2: slices of 4 + 4 paths at W = 2, of 2 + 3 + 3 at W = 3
+        monkeypatch.setattr(harness, "BATCH_CELLS", 2 * 16 * 16)
+        use_workers(monkeypatch, workers)
+        cfg = self.CONFIGS["em_imex"]
+        u0 = TestBatchParity.u0
+        noises = [NoisePath.generate(path_seed(78, i), cfg.dt, 30) for i in range(8)]
+        results = run_paths(cfg, u0, noises)
+        assert len(results) == len(noises)
+        for i, (res, nz) in enumerate(zip(results, noises)):
+            assert_same_path(res, run_path(cfg, u0(i), noise=nz))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_no_paths_at_every_worker_count(self, workers, monkeypatch):
+        use_workers(monkeypatch, workers)
+        cfg = ito_config()
+        assert run_paths(cfg, ScalarField.constant(cfg.grid, 0.0), []) == []
+
+
+class TestWorkers:
+    """The worker count and the forked slices' failure handling."""
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert harness.worker_count() == 3
+        monkeypatch.delattr(os, "fork")
+        assert harness.worker_count() == 1
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+        def fork():
+            raise AssertionError("forked while another thread runs")
+
+        monkeypatch.setattr(os, "fork", fork)
+        cfg = ito_config(n_steps=5)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert harness.worker_count() == 1
+            rep = run_ensemble(cfg, ScalarField.constant(cfg.grid, 0.0), 4, base_seed=0)
+        finally:
+            release.set()
+            thread.join()
+        assert [r.seed for r in rep.results] == [path_seed(0, i) for i in range(4)]
+        assert_no_child_left()
+
+    def test_success_leaves_no_child(self, monkeypatch):
+        use_workers(monkeypatch, 3)
+        cfg = ito_config(n_steps=5)
+        rep = run_ensemble(cfg, ScalarField.constant(cfg.grid, 0.0), 4, base_seed=0)
+        assert [r.seed for r in rep.results] == [path_seed(0, i) for i in range(4)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bad", [0, 3])  # the parent's slice, a child's slice
+    def test_exception_in_a_slice_reaches_the_caller(self, bad, monkeypatch):
+        use_workers(monkeypatch, 2)
+        cfg = ito_config(n_steps=5)
+
+        def u0(i):
+            if i == bad:
+                raise KeyError(f"no initial field for path {i}")
+            return ScalarField.constant(cfg.grid, 0.0)
+
+        with pytest.raises(KeyError, match=f"no initial field for path {bad}") as info:
+            run_ensemble(cfg, u0, 4, base_seed=0)
+        if bad:
+            assert "in the worker for paths [2, 4)" in str(info.value.__cause__)
+        assert_no_child_left()
+
+    def test_unpicklable_exception_is_named(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        cfg = ito_config(n_steps=5)
+
+        class LocalError(Exception):
+            pass
+
+        def u0(i):
+            if i == 1:
+                raise LocalError("cannot be pickled")
+            return ScalarField.constant(cfg.grid, 0.0)
+
+        with pytest.raises(RuntimeError, match="LocalError: cannot be pickled"):
+            run_ensemble(cfg, u0, 2, base_seed=0)
+        assert_no_child_left()
+
+    def test_child_that_dies_without_a_result(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        cfg = ito_config(n_steps=5)
+
+        parent = os.getpid()
+
+        def u0(i):
+            if i == 1 and os.getpid() != parent:
+                os._exit(7)
+            return ScalarField.constant(cfg.grid, 0.0)
+
+        with pytest.raises(RuntimeError, match=r"paths \[1, 2\) ended without a result "
+                                               r"\(exit code 7\)"):
+            run_ensemble(cfg, u0, 2, base_seed=0)
+        assert_no_child_left()
 
 
 class TestSweepPlan:

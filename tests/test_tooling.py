@@ -7,7 +7,8 @@ caught by an AST scan of the package and the tests, and the option surface
 of the stepping, monitoring, geometry and grid entry points is pinned by
 name. Another scan keeps every FFT inside ``grid.py``, behind the two
 workspace methods that the tracer counts and ``tests/test_grid.py`` pins to
-``np.fft`` bit for bit.
+``np.fft`` bit for bit. A third keeps every ``os.fork`` inside
+``harness.py``, whose worker slices reap and test every child.
 """
 import ast
 import dataclasses
@@ -149,3 +150,31 @@ def test_transforms_stay_in_grid():
     others = sorted(p for p in package.glob("*.py") if p.name != "grid.py")
     assert others
     assert [hit for path in others for hit in fft_references(path)] == []
+
+
+def fork_sites(path):
+    """Uses of os.fork* in a file, as "file:line: what"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr.startswith("fork") and isinstance(node.value, ast.Name)
+                   and node.value.id == "os")
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "os" and any(
+                a.name == "*" or a.name.startswith("fork") for a in node.names
+            )
+        else:
+            continue
+        if hit:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_forks_stay_in_harness():
+    # a second fork site shows up as an edit here
+    package = ROOT / "src" / "smcflow"
+    assert fork_sites(package / "harness.py")  # the scan sees harness's own fork
+    others = sorted(p for p in package.glob("*.py") if p.name != "harness.py")
+    assert others
+    assert [hit for path in others for hit in fork_sites(path)] == []
