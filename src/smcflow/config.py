@@ -1,8 +1,9 @@
 """External run configuration: "key = value" text, defaults, validation.
 
 The config layer owns all user-facing parameter validation (ranges, the
-2K > 4 requirement, T/dt divisibility, the form's linear dt bound) and the
-initial condition mini-language, whose numbers must all be finite:
+2K > 4 requirement, a K whose symbol overflows at n, T/dt divisibility, the
+form's linear dt bound) and the initial condition mini-language, whose
+numbers must all be finite:
 
     flat:<c>
     modes:[(k1,k2,amp,phase),...]          sum of amp*cos(2 pi (k.x) + phase)
@@ -16,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import FormKind, ModelForm, default_dt, linear_dt_bound
+from .dynamics import FORM_READS, FormKind, ModelForm, default_dt, linear_dt_bound
 from .grid import GridSpec, ScalarField
 from .harness import ModelConfig
 from .noise import TAG_IC, derive_key
@@ -133,11 +134,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
     parse_initial_spec(cfg.initial_condition)  # raises on malformed specs
     try:
         form = to_model_form(cfg)
+        # both form the form's linear symbol, which refuses an overflowing K
+        derived = resolve_dt(default_dt(form, cfg.n), cfg.T)
+        bound = linear_dt_bound(form, cfg.n)
     except ValueError as e:
         raise ConfigError(str(e))
-    derived = resolve_dt(default_dt(form, cfg.n), cfg.T)
     dt = cfg.dt or derived
-    bound = linear_dt_bound(form, cfg.n)
     if dt > bound:
         raise ConfigError(
             f"dt = {dt!r} exceeds {bound:.6g}, the linear stability bound of "
@@ -191,19 +193,13 @@ def n_steps_of(cfg: RunConfig) -> int:
     return int(round(cfg.T / cfg.dt))
 
 
+# ModelForm parameter -> its config key; a form is given only the keys it reads
+_FORM_KEYS = {"eps": "eps", "eta": "eta", "big_k": "bigK", "r_trunc": "R", "rho": "rho"}
+
+
 def to_model_form(cfg: RunConfig) -> ModelForm:
     kind = FormKind(cfg.form)
-    if kind in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
-        return ModelForm(
-            kind,
-            eps=cfg.eps,
-            eta=cfg.eta,
-            big_k=cfg.bigK,
-            r_trunc=cfg.R if kind is FormKind.REGULARIZED_TRUNCATED else float("inf"),
-        )
-    if kind is FormKind.RHO_VARIANT:
-        return ModelForm(kind, rho=cfg.rho)
-    return ModelForm(kind)
+    return ModelForm(kind, **{p: getattr(cfg, _FORM_KEYS[p]) for p in FORM_READS[kind]})
 
 
 def to_model_config(cfg: RunConfig, **overrides) -> ModelConfig:

@@ -41,6 +41,7 @@ from .noise import NoisePath
 
 __all__ = [
     "FormKind",
+    "FORM_READS",
     "ModelForm",
     "NonFiniteFieldError",
     "PathState",
@@ -70,10 +71,21 @@ class FormKind(Enum):
 
 _ANISO_KINDS = (FormKind.ITO_ANISOTROPIC, FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED)
 
+# The parameters each form reads; a form refuses every other one set away
+# from its ModelForm default, so no value is silently ignored.
+FORM_READS = {
+    FormKind.STRATONOVICH_MCF: frozenset(),
+    FormKind.ITO_MCF: frozenset(),
+    FormKind.ITO_ANISOTROPIC: frozenset(),
+    FormKind.REGULARIZED: frozenset({"eps", "eta", "big_k"}),
+    FormKind.REGULARIZED_TRUNCATED: frozenset({"eps", "eta", "big_k", "r_trunc"}),
+    FormKind.RHO_VARIANT: frozenset({"rho"}),
+}
+
 
 @dataclass(frozen=True)
 class ModelForm:
-    """A model form plus its parameters; validated on construction."""
+    """A model form plus the parameters it reads (FORM_READS); validated on construction."""
 
     kind: FormKind
     eps: float = 0.0
@@ -84,21 +96,22 @@ class ModelForm:
 
     def __post_init__(self):
         k = self.kind
-        if k in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
+        reads = FORM_READS[k]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in reads and value != f.default:
+                raise ValueError(f"{k.value} does not read {f.name}; got {f.name} = {value}")
+        if "eps" in reads:
             if not 0.0 < self.eps <= 1.0:
                 raise ValueError(f"{k.value} needs eps in (0, 1], got {self.eps}")
             if not 0.0 <= self.eta <= 1.0:
                 raise ValueError(f"{k.value} needs eta in [0, 1], got {self.eta}")
             if self.big_k < 1 or self.big_k != int(self.big_k):
                 raise ValueError(f"{k.value} needs integer big_k >= 1, got {self.big_k}")
-        if k is FormKind.REGULARIZED_TRUNCATED:
-            if not self.r_trunc > 0.0:
-                raise ValueError(f"truncation radius must be positive, got {self.r_trunc}")
-        if k is FormKind.RHO_VARIANT:
-            if not 0.0 < self.rho < 2.0:
-                raise ValueError(f"rho must lie in (0, 2), got {self.rho}")
-        elif self.rho != 1.0:
-            raise ValueError(f"{k.value} fixes rho = 1; got rho = {self.rho}")
+        if "r_trunc" in reads and not self.r_trunc > 0.0:
+            raise ValueError(f"truncation radius must be positive, got {self.r_trunc}")
+        if "rho" in reads and not 0.0 < self.rho < 2.0:
+            raise ValueError(f"rho must lie in (0, 2), got {self.rho}")
 
     @property
     def lap_coef(self) -> float:
@@ -109,20 +122,12 @@ class ModelForm:
             return 0.5
         if self.kind is FormKind.RHO_VARIANT:
             return 0.5 * self.rho
-        if self.kind in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
-            return 1.0 + self.eps
-        return 1.0  # ito_anisotropic
+        return 1.0 + self.eps  # the anisotropic family; eps = 0.0 unless read
 
     @property
     def hv_coef(self) -> float:
         """Prefactor of the explicit H v term; 0 for the anisotropic family."""
         return 0.0 if self.kind in _ANISO_KINDS else 1.0 - self.lap_coef
-
-    @property
-    def eta_eff(self) -> float:
-        if self.kind in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
-            return self.eta
-        return 0.0
 
 
 class NonFiniteFieldError(RuntimeError):
@@ -161,7 +166,7 @@ def linear_dt_bound(form: ModelForm, n: int) -> float:
     ws = get_workspace(n)
     # -lambda_D: the Laplacian symbol less the Nyquist entries of ik1, ik2
     lap_d = ws.sym_xx * (ws.ik1 != 0.0) + ws.sym_yy * (ws.ik2 != 0.0)
-    rate = ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k) - form.hv_coef * lap_d
+    rate = ws.linear_sym(form.lap_coef, form.eta, form.big_k) - form.hv_coef * lap_d
     top = float(rate.max())
     return 2.0 / top if top > 0.0 else math.inf
 
@@ -249,7 +254,7 @@ def drift(u: ScalarField, form: ModelForm) -> ScalarField:
     ws = get_workspace(u.grid.n)
     uh = ws.forward(u.values[None])
     n_explicit, _, _ = explicit_terms(uh, form, ws)
-    lin = ws.inverse(ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k) * uh)
+    lin = ws.inverse(ws.linear_sym(form.lap_coef, form.eta, form.big_k) * uh)
     return ScalarField(u.grid, lin[0] + n_explicit[0])
 
 
@@ -383,7 +388,7 @@ class EmImexStepper:
         self.form = form
         self.dt = dt
         self.ws = get_workspace(grid.n)
-        self.denom = 1.0 - dt * self.ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k)
+        self.denom = 1.0 - dt * self.ws.linear_sym(form.lap_coef, form.eta, form.big_k)
 
     def step(self, state):
         """Advance one PathState, or every row of a PathBatch, by one step.

@@ -153,10 +153,19 @@ class SpectralWorkspace:
         """Symbol of A = c Delta - eta Delta^(2K).
 
         Delta^(2K) has the symbol lambda(k)^(2K), an even power, hence >= 0.
+        A K whose power overflows at this n is refused: the symbol would hold
+        -inf, which zeroes every non-mean mode in one implicit step and turns
+        the drift of a flat field into NaN (-inf * 0).
         """
         sym = c * self.lap_sym
         if eta != 0.0:
-            sym = sym - eta * self.lap_sym ** (2 * big_k)
+            with np.errstate(over="ignore"):
+                sym = sym - eta * self.lap_sym ** (2 * big_k)
+            if not np.isfinite(sym).all():
+                raise ValueError(
+                    f"eta * Delta^(2K) overflows at n = {self.n}: K = {big_k} is too "
+                    f"large for eta = {eta}"
+                )
         return sym
 
 

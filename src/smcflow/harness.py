@@ -28,6 +28,7 @@ from typing import BinaryIO, Callable, Iterable, Sequence
 import numpy as np
 
 from .dynamics import (
+    FORM_READS,
     EmImexStepper,
     FormKind,
     HeunStratStepper,
@@ -36,7 +37,7 @@ from .dynamics import (
     PathBatch,
     PathState,
 )
-from .grid import GridSpec, ScalarField, l2_norm_sq
+from .grid import GridSpec, ScalarField, get_workspace, l2_norm_sq
 from .monitors import (
     EnergyRecord,
     MartingaleReport,
@@ -94,6 +95,13 @@ class ModelConfig:
             raise ValueError("dt must be positive")
         if any(s < 1 or s > self.n_steps for s in self.martingale_steps):
             raise ValueError("martingale sample steps must lie in [1, n_steps]")
+        if self.stop_at_tau_r and "r_trunc" not in FORM_READS[self.form.kind]:
+            raise ValueError(
+                f"stop_at_tau_r needs form = regularized_truncated, got {self.form.kind.value}"
+            )
+        # refuses a K whose polyharmonic symbol overflows at n, also on a
+        # sweep's eta values, before any stepper or worker starts
+        get_workspace(self.n).linear_sym(self.form.lap_coef, self.form.eta, self.form.big_k)
         if self.stop_at_tau_r and self.martingale_steps:
             # The ensemble martingale test needs the same sample steps on
             # every path; a one-path run would not, so this check could move
@@ -399,7 +407,7 @@ def _run_batch(
         latch(np.array([rec.hess_linf for rec in recs]) >= r_half)
 
     while paths.size and batch.step < end_step:
-        if trunc and cfg.stop_at_tau_r and tau_hit.any():
+        if cfg.stop_at_tau_r and tau_hit.any():
             finish({r: {} for r in np.flatnonzero(tau_hit)})
             continue
         try:
@@ -521,10 +529,9 @@ SWEEP_AXES = tuple(SWEEP_FIELDS)
 class SweepPlan:
     """One sweep axis and its values; validated on construction.
 
-    Only the regularized forms read eta and epsilon, and only the truncated
-    one reads R, so a plan whose form ignores its axis is refused. ``configs``
-    holds one config per value, so an out-of-range value fails here, before
-    any ensemble runs.
+    A plan whose form does not read its axis (FORM_READS) is refused.
+    ``configs`` holds one config per value, so an out-of-range value fails
+    here, before any ensemble runs.
     """
 
     axis: str
@@ -549,13 +556,10 @@ class SweepPlan:
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         base = self.base_config
-        if self.axis == "R" and base.form.kind is not FormKind.REGULARIZED_TRUNCATED:
-            raise ValueError("R sweeps need form = regularized_truncated")
-        if base.form.kind not in (FormKind.REGULARIZED, FormKind.REGULARIZED_TRUNCATED):
-            raise ValueError(
-                f"{self.axis} sweeps need form = regularized or regularized_truncated"
-            )
         name = SWEEP_FIELDS[self.axis]
+        if name not in FORM_READS[base.form.kind]:
+            readers = " or ".join(k.value for k in FormKind if name in FORM_READS[k])
+            raise ValueError(f"{self.axis} sweeps need form = {readers}")
         configs = tuple(replace(base, form=replace(base.form, **{name: v})) for v in vals)
         object.__setattr__(self, "configs", configs)
 

@@ -88,6 +88,25 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("big_k", [41, 42])
+    def test_overflowing_polyharmonic_symbol_is_validation_error(self, tmp_path, capsys, big_k):
+        # eta Delta^(2K) overflows at n = 16 from K = 42 on; K = 200 used to warn,
+        # zero every non-mean mode in the first step and exit 0
+        cfg = write_cfg(tmp_path, (
+            "form = regularized\nn = 16\nT = 0.01\neps = 0.1\neta = 1e-4\n"
+            f"bigK = {big_k}\ninitial_condition = random_smooth:3,3\n"
+        ))
+        out = tmp_path / "out"
+        code = main(["run", cfg, "--output-dir", str(out)])
+        if big_k == 41:
+            assert code == EXIT_OK
+            return
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: eta * Delta^(2K) overflows at n = 16: K = 42 is too large for eta = 0.0001\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_exits_runtime(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -368,6 +387,25 @@ class TestSweepCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert re.search(message, err[0])
+        assert not out.exists()
+
+    def test_overflowing_symbol_at_a_swept_eta_is_validation_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at eta = 0 the config accepts any K, but the plan's eta values form
+        # the power; this sweep used to end in a traceback from the stepper
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("an ensemble ran before the symbol was checked")
+
+        monkeypatch.setattr(harness, "run_ensemble", no_ensemble)
+        text = BASE_CFG.replace("form = ito_mcf", "form = regularized\neps = 0.1\nbigK = 200")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "s"
+        code = main(["sweep", cfg, "--axis", "eta", "--values", "1e-3,0", "--output-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith("overflows at n = 16: K = 200 is too large for eta = 0.001")
         assert not out.exists()
 
 

@@ -200,7 +200,8 @@ class TestModelMapping:
         mc = to_model_config(cfg)
         assert (mc.n, mc.dt, mc.n_steps, mc.record_stride) == (16, 1e-3, 20, 5)
         assert mc.form == ITO
-        mc2 = to_model_config(cfg, stop_at_tau_r=True, record_stride=4)
+        trunc = parse_config("form = regularized_truncated\nn = 16\ndt = 0.001\nT = 0.02")
+        mc2 = to_model_config(trunc, stop_at_tau_r=True, record_stride=4)
         assert mc2.stop_at_tau_r and mc2.record_stride == 4
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from smcflow import dynamics
 from smcflow.dynamics import (
+    FORM_READS,
     EmImexStepper,
     FormKind,
     HeunStratStepper,
@@ -64,7 +65,7 @@ class TestModelForm:
         ModelForm(FormKind.RHO_VARIANT, rho=1.999)
 
     def test_rho_fixed_for_other_forms(self):
-        with pytest.raises(ValueError, match="fixes rho = 1"):
+        with pytest.raises(ValueError, match="ito_mcf does not read rho; got rho = 0.5"):
             ModelForm(FormKind.ITO_MCF, rho=0.5)
 
     def test_lap_coef_table(self):
@@ -79,9 +80,25 @@ class TestModelForm:
         assert ModelForm(FormKind.ITO_ANISOTROPIC).hv_coef == 0.0
         assert ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=30.0).hv_coef == 0.0
 
-    def test_eta_eff_only_for_regularized_family(self):
-        assert ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-4).eta_eff == 1e-4
-        assert ModelForm(FormKind.ITO_ANISOTROPIC).eta_eff == 0.0
+    # an in-range value of each parameter, away from its default
+    IN_RANGE = {"eps": 0.3, "eta": 1e-4, "big_k": 2, "r_trunc": 30.0, "rho": 0.5}
+
+    @pytest.mark.parametrize("param", IN_RANGE)
+    @pytest.mark.parametrize("kind", FormKind, ids=lambda kind: kind.value)
+    def test_a_form_refuses_the_parameters_it_does_not_read(self, kind, param):
+        # ito_mcf with eps = 0.3 and regularized with r_trunc = 30 used to
+        # construct and step as if the value were unset
+        base = {"eps": 0.1} if "eps" in FORM_READS[kind] else {}
+        value = self.IN_RANGE[param]
+        if param in FORM_READS[kind]:
+            assert getattr(ModelForm(kind, **{**base, param: value}), param) == value
+        else:
+            with pytest.raises(ValueError, match=f"^{kind.value} does not read {param}; "):
+                ModelForm(kind, **{**base, param: value})
+            # the default, also passed explicitly, is no setting
+            default = ModelForm.__dataclass_fields__[param].default
+            assert getattr(ModelForm(kind, **{**base, param: default}), param) == default
+        assert ModelForm(kind, **base).kind is kind
 
 
 class TestDrift:
@@ -166,7 +183,7 @@ class TestDrift:
             assert audit.hess_linf > 0.5 * form.r_trunc
         ws = get_workspace(grid.n)
         uh = ws.forward(u.values[None])
-        lin = ws.inverse(ws.linear_sym(form.lap_coef, form.eta_eff, form.big_k) * uh)
+        lin = ws.inverse(ws.linear_sym(form.lap_coef, form.eta, form.big_k) * uh)
         expected = lin[0] + n_explicit[0]
         assert drift(u, form).values.tobytes() == expected.tobytes()
         assert diffusion(u, form).values.tobytes() == g[0].tobytes()
@@ -289,6 +306,19 @@ class TestStepperConstruction:
     def test_dt_validation(self):
         with pytest.raises(ValueError, match="dt > 0"):
             EmImexStepper(GridSpec(16), ModelForm(FormKind.ITO_MCF), 0.0)
+
+    def test_overflowing_polyharmonic_symbol_refused(self):
+        # lambda^(2K) overflows at n = 16 from K = 42 on; K = 200 used to warn
+        # and then zero every non-mean mode in the first step
+        grid = GridSpec(16)
+        for big_k in (42, 200):
+            form = ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-4, big_k=big_k)
+            with pytest.raises(ValueError, match=f"n = 16: K = {big_k} .* eta = 0.0001"):
+                EmImexStepper(grid, form, 1e-3)
+        form = ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-4, big_k=41)
+        assert np.isfinite(EmImexStepper(grid, form, 1e-3).denom).all()
+        # at eta = 0 the power is never formed
+        EmImexStepper(grid, ModelForm(FormKind.REGULARIZED, eps=0.1, big_k=200), 1e-3)
 
     def test_default_dt(self):
         # 0.05 h^2 keeps Heun under half its linear bound; em_imex takes 0.25 h^2

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from smcflow.dynamics import FormKind, ModelForm, NonFiniteFieldError, PathState
+from smcflow.dynamics import FORM_READS, FormKind, ModelForm, NonFiniteFieldError, PathState
 from smcflow import harness
 from smcflow.grid import GridSpec, ScalarField
 from smcflow.harness import (
@@ -108,6 +108,18 @@ class TestModelConfig:
             ito_config(stop_at_tau_r=True, martingale_steps=(10, 30), **kw)
         ito_config(stop_at_tau_r=True, **kw)
         ito_config(martingale_steps=(10, 30), **kw)
+
+    @pytest.mark.parametrize("kind", FormKind, ids=lambda kind: kind.value)
+    def test_stop_at_tau_r_needs_the_truncated_form(self, kind):
+        # on a form without R the flag used to stop nothing
+        form = ModelForm(kind, eps=0.1) if "eps" in FORM_READS[kind] else ModelForm(kind)
+        if kind is FormKind.REGULARIZED_TRUNCATED:
+            assert ito_config(form=form, stop_at_tau_r=True).stop_at_tau_r
+        else:
+            needed = f"stop_at_tau_r needs form = regularized_truncated, got {kind.value}"
+            with pytest.raises(ValueError, match=needed):
+                ito_config(form=form, stop_at_tau_r=True)
+        ito_config(form=form)
 
     def test_derived_properties(self):
         cfg = ito_config()

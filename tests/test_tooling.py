@@ -17,7 +17,7 @@ import inspect
 from pathlib import Path
 
 from smcflow.config import RunConfig
-from smcflow.dynamics import EmImexStepper, HeunStratStepper, PathBatch
+from smcflow.dynamics import FORM_READS, EmImexStepper, HeunStratStepper, ModelForm, PathBatch
 from smcflow.geometry import cofactor_flux_residual, geometry_bundle
 from smcflow.grid import divergence, gradient, hessian, laplacian
 from smcflow.harness import ModelConfig, run_ensemble, run_path, run_paths
@@ -105,6 +105,18 @@ def test_option_surface_is_pinned():
     assert params(EmImexStepper.__init__) == ["self", "grid", "form", "dt"]
     assert params(HeunStratStepper.__init__) == ["self", "grid", "form", "dt"]
     assert [f.name for f in dataclasses.fields(PathBatch)] == ["u", "step", "increments"]
+    # the form parameters, and the ones each form reads and so may set
+    assert [f.name for f in dataclasses.fields(ModelForm)] == [
+        "kind", "eps", "eta", "big_k", "r_trunc", "rho",
+    ]
+    assert {k.value: sorted(reads) for k, reads in FORM_READS.items()} == {
+        "stratonovich_mcf": [],
+        "ito_mcf": [],
+        "ito_anisotropic": [],
+        "regularized": ["big_k", "eps", "eta"],
+        "regularized_truncated": ["big_k", "eps", "eta", "r_trunc"],
+        "rho_variant": ["rho"],
+    }
     # the user-facing config keys
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
         "form", "n", "dt", "T", "eps", "eta", "bigK", "R", "rho", "n_paths",
