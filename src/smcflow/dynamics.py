@@ -457,12 +457,15 @@ class HeunStratStepper:
 # ---------------------------------------------------------------------------
 # mild-solution fixed point
 
-# The mild map evaluates its time levels in blocks of at most
-# PICARD_BLOCK_CELLS // n^2 states per batched transform (64 KiB per real
-# (rows, n, n) field). That bounds the per-block gradient, Hessian and
-# transform temporaries; the semigroup factors, the Duhamel buffers and the
-# trajectory still hold one field per time level, so they grow with m.
-PICARD_BLOCK_CELLS = 1 << 13
+# The mild map holds two trajectory buffers, the current iterate and the
+# next, and the real semigroup factors S(j dt): one field per time level
+# each, about 2.5 complex trajectories, and the only memory that grows with
+# m. PICARD_BLOCK_CELLS bounds the rest. Source levels are evaluated
+# PICARD_BLOCK_CELLS // n^2 at a time (2 at n = 32, 16 KiB per real
+# (rows, n, n) field) with their gradient, Hessian and transform
+# temporaries, and each source reaches the later levels through a Duhamel
+# scratch of eight such blocks of levels.
+PICARD_BLOCK_CELLS = 1 << 11
 
 
 @dataclass
@@ -491,6 +494,11 @@ def mild_picard_iterate(
     with left-endpoint sums on the noise grid. Returns the sup-in-time L2
     differences d_k between successive iterates and their ratios; ratios
     below one exhibit the contraction, and they shrink with the horizon.
+
+    Memory: two trajectory buffers of m + 1 Fourier states, swapped after
+    each pass, and the real semigroup factors, about 2.5 complex
+    trajectories; the sources and the Duhamel scratch are bounded by
+    PICARD_BLOCK_CELLS. Every block size gives the same bits.
     """
     if form.kind is not FormKind.REGULARIZED_TRUNCATED:
         raise ValueError("mild iteration is defined for the regularized_truncated form")
@@ -518,30 +526,28 @@ def mild_picard_iterate(
     h2 = inv_n * inv_n
     rows = max(1, PICARD_BLOCK_CELLS // (grid.n * grid.n))
     dw = noise.increments[:m, None, None]
-    # c_s for every source time s < m, and the terms one source adds
-    c = np.empty((m,) + u0_hat.shape, dtype=complex)
-    term = np.empty_like(c)
-
-    def evaluate(traj):
-        """Apply the mild map to a (m + 1, n, n//2 + 1) trajectory of Fourier states."""
-        for lo in range(0, m, rows):
-            blk = slice(lo, min(m, lo + rows))
-            n_explicit, g, _ = explicit_terms(traj[blk], form, ws)
-            n_hat, g_hat = ws.forward(np.stack([n_explicit, g]))
-            c[blk] = dt * n_hat + dw[blk] * g_hat
-        # level j sums S(j dt) u0, then S((j - s) dt) c_s for s = 0, 1, ..., j - 1
-        out = np.empty_like(traj)
-        out[0] = u0_hat
-        np.multiply(semi[1:], u0_hat, out=out[1:])
-        for s in range(m):
-            np.multiply(semi[1 : m - s + 1], c[s], out=term[: m - s])
-            out[s + 1 :] += term[: m - s]
-        return out
+    # a source's terms S((j - s) dt) c_s, span target levels at a time
+    span = 8 * rows
+    scratch = np.empty((min(span, m),) + u0_hat.shape, dtype=complex)
 
     traj = semi * u0_hat  # S(t) u0 as starting guess
+    nxt = np.empty_like(traj)
     diffs: list[float] = []
     for _ in range(iterations):
-        nxt = evaluate(traj)
+        # the mild map of traj into nxt: level j sums S(j dt) u0, then
+        # S((j - s) dt) c_s for s = 0, 1, ..., j - 1, with the sources c_s
+        # formed one block at a time
+        nxt[0] = u0_hat
+        np.multiply(semi[1:], u0_hat, out=nxt[1:])
+        for lo in range(0, m, rows):
+            hi = min(m, lo + rows)
+            n_explicit, g, _ = explicit_terms(traj[lo:hi], form, ws)
+            n_hat, g_hat = ws.forward(np.stack([n_explicit, g]))
+            c = dt * n_hat + dw[lo:hi] * g_hat
+            for s in range(lo, hi):
+                for a in range(s + 1, m + 1, span):
+                    b = min(m + 1, a + span)
+                    nxt[a:b] += np.multiply(semi[a - s : b - s], c[s - lo], out=scratch[: b - a])
         sup = 0.0
         for lo in range(0, m + 1, rows):
             d = ws.inverse(nxt[lo : lo + rows] - traj[lo : lo + rows])
@@ -549,7 +555,9 @@ def mild_picard_iterate(
             for dj in np.sqrt(h2 * np.sum(d * d, axis=(1, 2))):
                 sup = max(sup, float(dj))
         diffs.append(sup)
-        traj = nxt
+        traj, nxt = nxt, traj
+    # free the spare buffer and the factors before the trajectory is built
+    del nxt, semi, scratch
     ratios = [diffs[i + 1] / diffs[i] if diffs[i] > 0.0 else 0.0 for i in range(len(diffs) - 1)]
     run = 0
     diverged = False

@@ -40,6 +40,15 @@ REFINE_DEPTH = 6
 
 # Coarse steps whose deepest-level normals are drawn and folded at once;
 # bounds the draw's working memory without changing any bit of the result.
+# Do not shrink it without a replacement: a long path's 512 KiB draw
+# temporaries are freed through munmap, which makes glibc raise its dynamic
+# mmap and trim thresholds before the first step, so an n = 64 step's
+# ~165 KiB spectral temporaries then stay on the heap. At 1 << 6 the
+# thresholds stay at 128 KiB, and every step maps and faults those
+# temporaries in again: one unit of perfbench's long_path_n64 took 387 k
+# minor faults instead of 7.1 k, with the same output bits. Fixed
+# thresholds (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD) would remove this
+# dependence.
 DRAW_CHUNK = 1 << 10
 
 

@@ -1,6 +1,7 @@
 """Tests for model forms, drift/diffusion assembly, truncation, and steppers."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -553,26 +554,34 @@ class TestPicard:
         assert not rep.diverged
 
     # float.hex of diffs and ratios and the sha256 of the trajectory bytes,
-    # recorded from the level-by-level evaluation of the mild map. r_trunc =
-    # 1e6 never clips; at 30 the clip acts on some levels of every iteration
-    # after the first, so time blocks mixing clipped and unclipped levels
-    # occur at both grid sizes.
+    # keyed by (n, r_trunc, horizon) and recorded from the level-by-level
+    # evaluation of the mild map; horizon 0.01 is m = 100 levels, the
+    # benchmark's count. r_trunc = 1e6 never clips; at 30 the clip acts on
+    # some levels of every iteration after the first, so time blocks mixing
+    # clipped and unclipped levels occur at both grid sizes.
     GOLDEN = {
-        (32, 1e6): (
+        (32, 1e6, 5e-3): (
             ["0x1.b323169c8b219p-3", "0x1.1ab5f3a8170e0p-7", "0x1.f07a2c01c6b6cp-10",
              "0x1.6f4989e4b089ep-11", "0x1.d92cebf92bde9p-13", "0x1.82caef50ec6e9p-14"],
             ["0x1.4ca62406ce021p-5", "0x1.c191d46eb8d36p-3", "0x1.7ac552e8f10cap-2",
              "0x1.49cde7507f2b4p-2", "0x1.a28789c4ac21cp-2"],
             "7dc3c693069393faf99eec8a484b2adc25e86e79f70b4e5df1dc2de5eedc769f",
         ),
-        (32, 30.0): (
+        (32, 30.0, 5e-3): (
             ["0x1.b323169c8b219p-3", "0x1.1ab8786272351p-7", "0x1.efdb19d4ae3d5p-10",
              "0x1.6edeb890cf144p-11", "0x1.d877bf26a4b54p-13", "0x1.803f4e11d6355p-14"],
             ["0x1.4ca91aa3c7708p-5", "0x1.c0fdc9c98d01fp-3", "0x1.7ad089d4e208ap-2",
              "0x1.49af81956d859p-2", "0x1.a065e0781ddf5p-2"],
             "036d4ba58fbae3e0ed42fd5493996925b75e4dffa11d73e23a09d94c598e6a2c",
         ),
-        (16, 30.0): (
+        (32, 30.0, 0.01): (
+            ["0x1.b323169c8b219p-3", "0x1.1ab8786272351p-7", "0x1.242e4427deb6ap-9",
+             "0x1.b95279e59ca2dp-11", "0x1.5cbee3eaaf1c3p-12", "0x1.49d76a4d5324ep-13"],
+            ["0x1.4ca91aa3c7708p-5", "0x1.0890e806c016ep-2", "0x1.82ac5b2967bd6p-2",
+             "0x1.9498ebcc2496cp-2", "0x1.e43f139d9909ap-2"],
+            "36d5e967c57548a8171a93f330410203fe1a1cfd54070217b32377f14e7e351c",
+        ),
+        (16, 30.0, 5e-3): (
             ["0x1.b322fe4883d51p-3", "0x1.1ab8a8d6a356dp-7", "0x1.ef7ca220169c3p-10",
              "0x1.7078136bab80dp-11", "0x1.db76aacd86e4ep-13", "0x1.84bb52c3fa8eep-14"],
             ["0x1.4ca966406059dp-5", "0x1.c0a7f2d91bb8fp-3", "0x1.7cbfc25e2ffccp-2",
@@ -581,18 +590,56 @@ class TestPicard:
         ),
     }
 
-    @pytest.mark.parametrize("n, r_trunc", sorted(GOLDEN))
-    def test_golden_values(self, n, r_trunc):
-        grid = GridSpec(n)
-        noise = NoisePath.generate(2024, 1e-4, 50)
+    @staticmethod
+    def run_picard(n, r_trunc, horizon):
+        # the first 50 increments of this path are those of its 50-step prefix
+        noise = NoisePath.generate(2024, 1e-4, 100)
         form = ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, big_k=3, r_trunc=r_trunc)
-        rep = mild_picard_iterate(smooth_u0(grid), noise, form, 5e-3, 6)
-        diffs, ratios, sha = self.GOLDEN[(n, r_trunc)]
-        assert [d.hex() for d in rep.diffs] == diffs
-        assert [x.hex() for x in rep.ratios] == ratios
+        return mild_picard_iterate(smooth_u0(GridSpec(n)), noise, form, horizon, 6)
+
+    @staticmethod
+    def picard_bits(rep):
         traj = b"".join(f.values.tobytes() for f in rep.trajectory)
-        assert hashlib.sha256(traj).hexdigest() == sha
+        return [d.hex() for d in rep.diffs], [x.hex() for x in rep.ratios], traj
+
+    # an id names the horizon only where it is not 5e-3
+    @pytest.mark.parametrize(
+        "n, r_trunc, horizon", sorted(GOLDEN),
+        ids=[f"{n}-{r}" if h == 5e-3 else f"{n}-{r}-{h}" for n, r, h in sorted(GOLDEN)],
+    )
+    def test_golden_values(self, n, r_trunc, horizon):
+        rep = self.run_picard(n, r_trunc, horizon)
+        diffs, ratios, traj = self.picard_bits(rep)
+        sha = hashlib.sha256(traj).hexdigest()
+        assert (diffs, ratios, sha) == self.GOLDEN[(n, r_trunc, horizon)]
         assert not rep.diverged
+
+    def test_block_size_moves_no_bit(self, monkeypatch):
+        # 1, 2 and 8 time levels per block at n = 32, with the clip active
+        n = 32
+        bits = []
+        for cells in (n * n, 2 * n * n, 8 * n * n):
+            monkeypatch.setattr(dynamics, "PICARD_BLOCK_CELLS", cells)
+            bits.append(self.picard_bits(self.run_picard(n, 30.0, 0.01)))
+        assert bits[0] == bits[1] == bits[2]
+
+    def test_memory_stays_near_two_and_a_half_trajectories(self):
+        # two complex trajectory buffers and the real semigroup factors are
+        # 2.5 trajectories of (m + 1) n (n/2 + 1) complex values; the
+        # level-blocked sources, the Duhamel scratch and the transforms stay
+        # under one more
+        n, m = 32, 100
+        u0 = smooth_u0(GridSpec(n))
+        noise = NoisePath.generate(2024, 1e-4, m)
+        form = ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, big_k=3, r_trunc=30.0)
+        get_workspace(n)
+        tracemalloc.start()
+        try:
+            mild_picard_iterate(u0, noise, form, m * 1e-4, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * (m + 1) * n * (n // 2 + 1) * 16
 
     def test_argument_validation(self):
         grid = GridSpec(16)

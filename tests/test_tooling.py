@@ -17,7 +17,15 @@ import inspect
 from pathlib import Path
 
 from smcflow.config import RunConfig
-from smcflow.dynamics import FORM_READS, EmImexStepper, HeunStratStepper, ModelForm, PathBatch
+from smcflow.dynamics import (
+    FORM_READS,
+    EmImexStepper,
+    HeunStratStepper,
+    ModelForm,
+    PathBatch,
+    PicardReport,
+    mild_picard_iterate,
+)
 from smcflow.geometry import cofactor_flux_residual, geometry_bundle
 from smcflow.grid import divergence, gradient, hessian, laplacian
 from smcflow.harness import ModelConfig, run_ensemble, run_path, run_paths
@@ -133,6 +141,11 @@ def test_option_surface_is_pinned():
     assert params(record_path_sample) == ["u", "t"]
     assert params(gradient_inequality_check) == ["records_per_path", "eps", "dt", "min_paths"]
     assert params(NoisePath.__init__) == ["self", "seed", "dt", "level", "increments"]
+    # the mild map's memory layout is fixed inside it: no block or buffer knob
+    assert params(mild_picard_iterate) == ["u0", "noise", "form", "horizon", "iterations"]
+    assert [f.name for f in dataclasses.fields(PicardReport)] == [
+        "diffs", "ratios", "diverged", "trajectory",
+    ]
 
 
 def fft_references(path):
