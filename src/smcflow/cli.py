@@ -14,6 +14,7 @@ from .config import (
     ConfigError,
     build_initial,
     config_from_file,
+    ignored_keys,
     n_steps_of,
     to_model_config,
 )
@@ -103,6 +104,15 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _load_config(path):
+    """config_from_file, plus one stderr note naming the model keys the form ignores."""
+    cfg = config_from_file(path)
+    unread = ignored_keys(cfg)
+    if unread:
+        print(f"note: {cfg.form} does not read {', '.join(unread)}; ignored", file=sys.stderr)
+    return cfg
+
+
 def _outdir(cfg, override) -> Path:
     out = Path(override) if override else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -119,7 +129,7 @@ def _blowup_abort(result) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = config_from_file(args.config)
+    cfg = _load_config(args.config)
     out = _outdir(cfg, args.output_dir)
     mc = to_model_config(cfg)
     u0 = build_initial(cfg.initial_condition, mc.grid)
@@ -156,7 +166,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    cfg = config_from_file(args.config)
+    cfg = _load_config(args.config)
     mc = to_model_config(cfg)
     field, t, seed, step = read_snapshot(args.checkpoint)
     if seed != cfg.base_seed:
@@ -196,7 +206,7 @@ def _mean_records(report) -> list[EnergyRecord]:
 
 
 def _cmd_ensemble(args) -> int:
-    cfg = config_from_file(args.config)
+    cfg = _load_config(args.config)
     out = _outdir(cfg, args.output_dir)
     mc = to_model_config(cfg)
     u0 = build_initial(cfg.initial_condition, mc.grid)
@@ -217,7 +227,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = config_from_file(args.config)
+    cfg = _load_config(args.config)
     try:
         values = tuple(float(v) for v in args.values.split(","))
     except ValueError:

@@ -1,9 +1,11 @@
 """External run configuration: "key = value" text, defaults, validation.
 
-The config layer owns all user-facing parameter validation (ranges, the
-2K > 4 requirement, a K whose symbol overflows at n, T/dt divisibility, the
+The config layer validates the run keys (ranges, T/dt divisibility, the
 form's linear dt bound) and the initial condition mini-language, whose
-numbers must all be finite:
+numbers must all be finite. The model keys eps, eta, bigK, R and rho are
+range-checked once, by the ModelForm that to_model_form builds, and only
+for the form that reads them (FORM_READS); the form's linear symbol refuses
+a K that overflows at n. Initial conditions:
 
     flat:<c>
     modes:[(k1,k2,amp,phase),...]          sum of amp*cos(2 pi (k.x) + phase)
@@ -30,6 +32,7 @@ __all__ = [
     "serialize_config",
     "config_from_file",
     "to_model_form",
+    "ignored_keys",
     "to_model_config",
     "n_steps_of",
     "build_initial",
@@ -72,6 +75,7 @@ class RunConfig:
 
 
 _KEY_ORDER = tuple(f.name for f in fields(RunConfig))
+_DEFAULTS = RunConfig()
 _FORM_NAMES = tuple(k.value for k in FormKind)
 
 
@@ -107,18 +111,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"T must be positive and finite, got {cfg.T}")
     if not 0.0 <= cfg.dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {cfg.dt}")
-    if not 0.0 <= cfg.eps <= 1.0:
-        raise ConfigError(f"eps must lie in [0, 1], got {cfg.eps}")
-    if not 0.0 <= cfg.eta <= 1.0:
-        raise ConfigError(f"eta must lie in [0, 1], got {cfg.eta}")
-    if 2 * cfg.bigK <= 4:
-        raise ConfigError(
-            f"bigK must satisfy 2K > 4 (so bigK >= 3), got {cfg.bigK}"
-        )
-    if not cfg.R > 0.0:
-        raise ConfigError(f"R must be positive, got {cfg.R}")
-    if not 0.0 < cfg.rho < 2.0:
-        raise ConfigError(f"rho must lie in (0,2), got {cfg.rho}")
     if cfg.n_paths < 1:
         raise ConfigError(f"n_paths must be at least 1, got {cfg.n_paths}")
     if cfg.base_seed < 0:
@@ -133,7 +125,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("output_dir must be nonempty")
     parse_initial_spec(cfg.initial_condition)  # raises on malformed specs
     try:
-        form = to_model_form(cfg)
+        form = to_model_form(cfg)  # range-checks the model keys the form reads
         # both form the form's linear symbol, which refuses an overflowing K
         derived = resolve_dt(default_dt(form, cfg.n), cfg.T)
         bound = linear_dt_bound(form, cfg.n)
@@ -200,6 +192,15 @@ _FORM_KEYS = {"eps": "eps", "eta": "eta", "big_k": "bigK", "r_trunc": "R", "rho"
 def to_model_form(cfg: RunConfig) -> ModelForm:
     kind = FormKind(cfg.form)
     return ModelForm(kind, **{p: getattr(cfg, _FORM_KEYS[p]) for p in FORM_READS[kind]})
+
+
+def ignored_keys(cfg: RunConfig) -> list[str]:
+    """Model keys set away from their defaults that cfg's form does not read."""
+    reads = FORM_READS[FormKind(cfg.form)]
+    return [
+        key for p, key in _FORM_KEYS.items()
+        if p not in reads and getattr(cfg, key) != getattr(_DEFAULTS, key)
+    ]
 
 
 def to_model_config(cfg: RunConfig, **overrides) -> ModelConfig:

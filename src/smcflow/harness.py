@@ -393,10 +393,15 @@ def _run_batch(
         """Close the results of the given batch rows and drop them from the batch."""
         nonlocal batch, paths, tau_hit, max_res
         for r, blowup in leaving.items():
+            # a copy, so a kept terminal does not pin the whole batch array
             results[paths[r]] = logs[paths[r]].result(
-                ScalarField(cfg.grid, batch.u[r]), batch.step, float(max_res[r]), **blowup
+                ScalarField(cfg.grid, batch.u[r].copy()), batch.step, float(max_res[r]),
+                **blowup,
             )
-        keep = np.setdiff1d(np.arange(paths.size), list(leaving))
+        # a mask, not np.setdiff1d, whose np.unique imports all of numpy.ma
+        kept = np.ones(paths.size, dtype=bool)
+        kept[list(leaving)] = False
+        keep = np.flatnonzero(kept)
         batch = replace(batch, u=batch.u[keep], increments=batch.increments[keep])
         paths, tau_hit, max_res = paths[keep], tau_hit[keep], max_res[keep]
         if tracker is not None:

@@ -88,6 +88,18 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_keys_the_form_ignores_get_one_note(self, tmp_path, capsys):
+        # ito_mcf reads no model key; these values used to pass silently,
+        # and bigK = 2 used to exit 1
+        plain, noted = tmp_path / "plain", tmp_path / "noted"
+        assert main(["run", write_cfg(tmp_path), "--output-dir", str(plain)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        text = BASE_CFG + "rho = 0.5\neps = 0.9\nR = 3\nbigK = 2\n"
+        assert main(["run", write_cfg(tmp_path, text), "--output-dir", str(noted)]) == EXIT_OK
+        assert capsys.readouterr().err == "note: ito_mcf does not read eps, bigK, R, rho; ignored\n"
+        for name in ("series.csv", "final.snap"):
+            assert (noted / name).read_bytes() == (plain / name).read_bytes()
+
     @pytest.mark.parametrize("big_k", [41, 42])
     def test_overflowing_polyharmonic_symbol_is_validation_error(self, tmp_path, capsys, big_k):
         # eta Delta^(2K) overflows at n = 16 from K = 42 on; K = 200 used to warn,

@@ -8,6 +8,7 @@ from smcflow.config import (
     ConfigError,
     build_initial,
     config_from_file,
+    ignored_keys,
     n_steps_of,
     parse_config,
     parse_initial_spec,
@@ -135,11 +136,12 @@ class TestValidation:
             ("T = nan", "T must be positive and finite"),
             ("T = inf", "T must be positive and finite"),
             ("dt = 0.0003\nT = 0.1", "not an integer multiple"),
-            ("eps = 1.5", r"eps must lie in \[0, 1\]"),
-            ("eta = -0.2", r"eta must lie in \[0, 1\]"),
-            ("bigK = 2", r"2K > 4 \(so bigK >= 3\)"),
-            ("R = 0.0", "R must be positive"),
-            ("rho = 2.0", r"rho must lie in \(0,2\)"),
+            # the model keys are range-checked by the form that reads them
+            ("form = regularized\neps = 1.5", r"regularized needs eps in \(0, 1\]"),
+            ("form = regularized\neta = -0.2", r"regularized needs eta in \[0, 1\]"),
+            ("form = regularized\nbigK = 0", r"regularized needs integer big_k >= 1"),
+            ("form = regularized_truncated\nR = 0.0", "truncation radius must be positive"),
+            ("form = rho_variant\nrho = 2.0", r"rho must lie in \(0, 2\)"),
             ("theta = -1.0", "unknown config key 'theta'"),
             ("n_paths = 0", "n_paths must be at least 1"),
             ("base_seed = -1", "base_seed must be nonnegative"),
@@ -155,6 +157,17 @@ class TestValidation:
     def test_model_form_errors_surface_as_config_errors(self):
         with pytest.raises(ConfigError, match=r"eps in \(0, 1\]"):
             parse_config("form = regularized\neps = 0.0")
+
+    def test_model_keys_checked_only_where_read(self):
+        # K >= 1, the floor of ModelForm; criterion 9's eta sweep runs K = 1
+        for k in (1, 2):
+            assert to_model_form(parse_config(f"form = regularized\nbigK = {k}")).big_k == k
+        cfg = parse_config("form = ito_mcf\neps = 1.5\nbigK = 2\nR = 0.0\nrho = 2.0")
+        assert ignored_keys(cfg) == ["eps", "bigK", "R", "rho"]
+        assert to_model_form(cfg) == to_model_form(parse_config("form = ito_mcf"))
+        # a key at its default changes nothing, read or not
+        assert ignored_keys(parse_config("form = ito_mcf\neps = 0.1\nbigK = 3")) == []
+        assert ignored_keys(parse_config("form = rho_variant\nrho = 0.5\neta = 1e-3")) == ["eta"]
 
     def test_ic_spec_checked_at_parse_time(self):
         with pytest.raises(ConfigError, match="unknown initial condition kind"):

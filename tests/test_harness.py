@@ -1,7 +1,11 @@
 """Tests for path runs, ensembles and sweeps."""
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from smcflow.monitors import record_path_sample
 from smcflow.noise import NoisePath, path_seed
 
 TWO_PI = 2.0 * math.pi
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def smooth_u0(grid):
@@ -460,6 +465,72 @@ class TestRunPaths:
         use_workers(monkeypatch, workers)
         cfg = ito_config()
         assert run_paths(cfg, ScalarField.constant(cfg.grid, 0.0), []) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_terminals_hold_only_their_own_field(self, workers, monkeypatch):
+        # a row that leaves the batch used to keep a view of the whole
+        # (P, n, n) batch array as its terminal
+        use_workers(monkeypatch, workers)
+        cfg = ito_config(n_steps=5)
+        x1, _ = cfg.grid.nodes()
+
+        def u0(i):  # path 1 overflows in step 1
+            if i == 1:
+                return ScalarField(cfg.grid, 1e160 * np.sin(TWO_PI * x1))
+            return smooth_u0(cfg.grid)
+
+        noises = [NoisePath.generate(path_seed(79, i), cfg.dt, 5) for i in range(4)]
+        results = run_paths(cfg, u0, noises)
+        assert [r.blowup_step for r in results] == [None, 1, None, None]
+        for i, (res, nz) in enumerate(zip(results, noises)):
+            values = res.terminal.values
+            while isinstance(values.base, np.ndarray):
+                values = values.base
+            # an array unpickled from a worker keeps its own bytes as base
+            held = values.nbytes if values.base is None else memoryview(values.base).nbytes
+            assert held == 16 * 16 * 8
+            assert_same_path(res, run_path(cfg, u0(i), noise=nz))
+
+    def test_finishing_a_batch_imports_no_numpy_ma(self, tmp_path):
+        # numpy's np.unique-based set routines import all of numpy.ma (~1 MB)
+        # on their first call; pytest may have imported it already, so only a
+        # fresh interpreter shows what a run pulls in
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from smcflow import harness
+            from smcflow.cli import main
+            from smcflow.dynamics import FormKind, ModelForm
+            from smcflow.grid import ScalarField
+            from smcflow.harness import ModelConfig, run_path, run_paths
+            from smcflow.noise import NoisePath
+
+            cfg = ModelConfig(form=ModelForm(FormKind.ITO_MCF), n=16, dt=1e-3, n_steps=5)
+            x1, _ = cfg.grid.nodes()
+            smooth = ScalarField(cfg.grid, 0.3 * np.sin(2 * np.pi * x1))
+            run_path(cfg, smooth, NoisePath.generate(1, cfg.dt, 5))
+            # two workers; path 1 overflows in step 1 and leaves its batch
+            harness.worker_count = lambda: 2
+            blowup = ScalarField(cfg.grid, 1e160 * np.sin(2 * np.pi * x1))
+            noises = [NoisePath.generate(i, cfg.dt, 5) for i in range(4)]
+            with np.errstate(all="ignore"):
+                results = run_paths(cfg, lambda i: blowup if i == 1 else smooth, noises)
+            assert [r.censored for r in results] == [False, True, False, False]
+            with open("run.cfg", "w") as f:
+                f.write("n = 16\\ndt = 0.001\\nT = 0.02\\n"
+                        "initial_condition = modes:[(1,0,0.2,0.0)]\\n")
+            assert main(["run", "run.cfg", "--output-dir", "o", "--stop-after-steps", "9"]) == 0
+            assert main(["resume", "run.cfg", "--checkpoint", "o/checkpoint.snap",
+                         "--output-dir", "o"]) == 0
+            print("numpy.ma imported:", "numpy.ma" in sys.modules)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "numpy.ma imported: False"
 
 
 class TestWorkers:

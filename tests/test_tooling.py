@@ -8,7 +8,9 @@ of the stepping, monitoring, geometry and grid entry points is pinned by
 name. Another scan keeps every FFT inside ``grid.py``, behind the two
 workspace methods that the tracer counts and ``tests/test_grid.py`` pins to
 ``np.fft`` bit for bit. A third keeps every ``os.fork`` inside
-``harness.py``, whose worker slices reap and test every child.
+``harness.py``, whose worker slices reap and test every child. A fourth
+keeps ``numpy.ma`` out of the package: numpy's ``np.unique``-based set
+routines import it (~1 MB resident) on their first call, so none is used.
 """
 import ast
 import dataclasses
@@ -203,3 +205,52 @@ def test_forks_stay_in_harness():
     others = sorted(p for p in package.glob("*.py") if p.name != "harness.py")
     assert others
     assert [hit for path in others for hit in fork_sites(path)] == []
+
+
+# numpy's set routines that import all of numpy.ma on their first call, seen
+# in a fresh interpreter with numpy 2.4.6: np.unique and np.unique_values read
+# np.ma.is_masked when asked for no indices or counts, setdiff1d, intersect1d,
+# union1d and setxor1d call them, and so does isin on its sort path.
+# unique_counts, unique_inverse and unique_all import nothing.
+MA_IMPORTERS = frozenset({
+    "unique", "unique_values", "setdiff1d", "intersect1d", "union1d", "setxor1d", "isin",
+})
+
+
+def masked_array_uses(tree):
+    """numpy.ma and the numpy routines that import it in a module, as (line, what)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                   and (node.attr == "ma" or node.attr in MA_IMPORTERS))
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.ma") or (
+                node.module == "numpy"
+                and any(a.name == "ma" or a.name in MA_IMPORTERS for a in node.names)
+            )
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.ma") for a in node.names)
+        else:
+            continue
+        if hit:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_no_numpy_ma_in_the_package():
+    # the scan sees every form of use
+    sample = ast.parse(
+        "import numpy.ma\nfrom numpy import ma\nfrom numpy import unique\n"
+        "np.ma.is_masked(x)\nkeep = np.setdiff1d(a, b)\nf = numpy.isin\n"
+        "np.unique_counts(a)\nnp.flatnonzero(a)\n"
+    )
+    assert sorted(line for line, _ in masked_array_uses(sample)) == [1, 2, 3, 4, 5, 6]
+    files = sorted((ROOT / "src" / "smcflow").glob("*.py"))
+    assert files
+    hits = [
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in files
+        for line, what in masked_array_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert hits == []
