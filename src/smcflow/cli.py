@@ -19,6 +19,7 @@ from .config import (
     to_model_config,
 )
 from .dynamics import NonFiniteFieldError
+from .grid import GridSpec
 from .harness import (
     SWEEP_AXES,
     SweepPlan,
@@ -119,55 +120,15 @@ def _outdir(cfg, override) -> Path:
     return out
 
 
-def _blowup_abort(result) -> int:
-    print(
-        f"aborted: non-finite field at step {result.blowup_step}, "
-        f"grid index {result.blowup_index}",
-        file=sys.stderr,
-    )
-    return EXIT_RUNTIME
-
-
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     out = _outdir(cfg, args.output_dir)
-    mc = to_model_config(cfg)
-    u0 = build_initial(cfg.initial_condition, mc.grid)
-    seed = cfg.base_seed
-    noise = NoisePath.generate(seed, cfg.dt, n_steps_of(cfg))
-
-    ckpt_path = out / "checkpoint.snap"
-
-    def checkpoint(state):
-        write_snapshot(ckpt_path, state.u, state.t, seed, state.step)
-
-    result = run_path(
-        mc,
-        u0,
-        noise=noise,
-        stop_at_step=args.stop_after_steps,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_cb=checkpoint if args.checkpoint_every else None,
-    )
-    if result.censored:
-        return _blowup_abort(result)
-    write_series(out / "series.csv", result.records)
-    if result.steps_done < mc.n_steps:
-        write_snapshot(
-            ckpt_path, result.terminal, result.steps_done * cfg.dt, seed, result.steps_done
-        )
-        print(f"stopped at step {result.steps_done}; checkpoint at {ckpt_path}")
-    else:
-        write_snapshot(
-            out / "final.snap", result.terminal, mc.horizon, seed, result.steps_done
-        )
-        print(f"run complete: {result.steps_done} steps -> {out / 'final.snap'}")
-    return EXIT_OK
+    u0 = build_initial(cfg.initial_condition, GridSpec(cfg.n))
+    return _advance(cfg, u0, 0, out, args.stop_after_steps, args.checkpoint_every)
 
 
 def _cmd_resume(args) -> int:
     cfg = _load_config(args.config)
-    mc = to_model_config(cfg)
     field, t, seed, step = read_snapshot(args.checkpoint)
     if seed != cfg.base_seed:
         raise ConfigError(
@@ -185,14 +146,39 @@ def _cmd_resume(args) -> int:
             f"checkpoint time t = {t!r} at step {step} does not match the config's "
             f"step * dt = {step * cfg.dt!r} (dt = {cfg.dt!r}); was dt changed?"
         )
-    out = _outdir(cfg, args.output_dir)
-    noise = NoisePath.generate(seed, cfg.dt, total)
-    result = run_path(mc, field, noise=noise, start_step=int(step))
+    return _advance(cfg, field, int(step), _outdir(cfg, args.output_dir), resume=True)
+
+
+def _advance(cfg, u, start, out, stop=None, every=None, resume=False) -> int:
+    """The body of run and resume: one path from the field u at step start.
+
+    The noise path covers the whole run; a run stopped after `stop` steps is
+    the run of min(stop, n_steps) steps on it, so a resume continues it.
+    """
+    total = n_steps_of(cfg)
+    mc = to_model_config(cfg, n_steps=min(stop or total, total))
+    noise = NoisePath.generate(cfg.base_seed, cfg.dt, total)
+    ckpt_path = out / "checkpoint.snap"
+
+    def checkpoint(field, step):
+        write_snapshot(ckpt_path, field, step * cfg.dt, cfg.base_seed, step)
+
+    result = run_path(mc, u, noise, start_step=start, checkpoint_every=every,
+                      checkpoint_cb=checkpoint)
     if result.censored:
-        return _blowup_abort(result)
-    write_series(out / "series_resume.csv", result.records)
-    write_snapshot(out / "final.snap", result.terminal, mc.horizon, seed, result.steps_done)
-    print(f"resumed from step {step}: {result.steps_done - int(step)} further steps")
+        print(f"aborted: non-finite field at step {result.blowup_step}, "
+              f"grid index {result.blowup_index}", file=sys.stderr)
+        return EXIT_RUNTIME
+    done = result.steps_done
+    write_series(out / ("series_resume.csv" if resume else "series.csv"), result.records)
+    snap = out / ("final.snap" if done == total else "checkpoint.snap")
+    write_snapshot(snap, result.terminal, done * cfg.dt, cfg.base_seed, done)
+    if resume:
+        print(f"resumed from step {start}: {done - start} further steps")
+    elif done < total:
+        print(f"stopped at step {done}; checkpoint at {snap}")
+    else:
+        print(f"run complete: {done} steps -> {snap}")
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import math
+import re
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -190,8 +191,12 @@ _FORM_KEYS = {"eps": "eps", "eta": "eta", "big_k": "bigK", "r_trunc": "R", "rho"
 
 
 def to_model_form(cfg: RunConfig) -> ModelForm:
+    """cfg's ModelForm; a range error names the config key, not the field."""
     kind = FormKind(cfg.form)
-    return ModelForm(kind, **{p: getattr(cfg, _FORM_KEYS[p]) for p in FORM_READS[kind]})
+    try:
+        return ModelForm(kind, **{p: getattr(cfg, _FORM_KEYS[p]) for p in FORM_READS[kind]})
+    except ValueError as e:
+        raise ValueError(re.sub(r"\w+", lambda m: _FORM_KEYS.get(m[0], m[0]), str(e))) from None
 
 
 def ignored_keys(cfg: RunConfig) -> list[str]:

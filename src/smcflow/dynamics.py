@@ -49,7 +49,6 @@ __all__ = [
     "StepAudit",
     "explicit_terms",
     "drift",
-    "diffusion",
     "truncate_hessian_arrays",
     "EmImexStepper",
     "HeunStratStepper",
@@ -85,7 +84,7 @@ FORM_READS = {
 
 @dataclass(frozen=True)
 class ModelForm:
-    """A model form plus the parameters it reads (FORM_READS); validated on construction."""
+    """A model form plus the parameters it reads (FORM_READS); each error names its field."""
 
     kind: FormKind
     eps: float = 0.0
@@ -109,7 +108,7 @@ class ModelForm:
             if self.big_k < 1 or self.big_k != int(self.big_k):
                 raise ValueError(f"{k.value} needs integer big_k >= 1, got {self.big_k}")
         if "r_trunc" in reads and not self.r_trunc > 0.0:
-            raise ValueError(f"truncation radius must be positive, got {self.r_trunc}")
+            raise ValueError(f"truncation radius must be positive, got r_trunc = {self.r_trunc}")
         if "rho" in reads and not 0.0 < self.rho < 2.0:
             raise ValueError(f"rho must lie in (0, 2), got {self.rho}")
 
@@ -258,13 +257,6 @@ def drift(u: ScalarField, form: ModelForm) -> ScalarField:
     return ScalarField(u.grid, lin[0] + n_explicit[0])
 
 
-def diffusion(u: ScalarField, form: ModelForm) -> ScalarField:
-    """Noise coefficient field sqrt(rho) * H(grad u)."""
-    ws = get_workspace(u.grid.n)
-    _, g, _ = explicit_terms(ws.forward(u.values[None]), form, ws)
-    return ScalarField(u.grid, g[0])
-
-
 # ---------------------------------------------------------------------------
 # path state and steppers
 
@@ -280,10 +272,6 @@ class PathState:
     u: ScalarField
     step: int
     noise: NoisePath
-
-    @property
-    def t(self) -> float:
-        return self.step * self.noise.dt
 
 
 @dataclass

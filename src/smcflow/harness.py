@@ -35,7 +35,6 @@ from .dynamics import (
     ModelForm,
     NonFiniteFieldError,
     PathBatch,
-    PathState,
 )
 from .grid import GridSpec, ScalarField, get_workspace, l2_norm_sq
 from .monitors import (
@@ -151,27 +150,25 @@ def run_path(
     noise: NoisePath,
     stepper=None,
     start_step: int = 0,
-    stop_at_step: int | None = None,
     checkpoint_every: int | None = None,
-    checkpoint_cb: Callable[[PathState], None] | None = None,
+    checkpoint_cb: Callable[[ScalarField, int], None] | None = None,
 ) -> PathResult:
     """Advance one path driven by noise up to cfg.n_steps, recording monitors.
 
     A deterministic run passes a zero path, NoisePath(seed, dt, 0,
     np.zeros(n_steps)). start_step > 0 resumes from a checkpointed field (u0
-    is then the state at that step); stop_at_step ends the run early;
-    checkpoint_cb is invoked every checkpoint_every completed steps with the
-    current state. The path runs as the batch of one of the ensemble loop.
+    is then the state at that step); a run ends at cfg.n_steps, so a shorter
+    one sets a smaller n_steps on a noise path of any length that covers it.
+    checkpoint_cb(field, step) is invoked every checkpoint_every completed
+    steps. The path runs as the batch of one of the ensemble loop.
     """
     _check_noise(cfg, noise)
     if stepper is None:
         stepper = make_stepper(cfg)
     if not 0 <= start_step <= cfg.n_steps:
         raise ValueError("start_step outside [0, n_steps]")
-    end_step = cfg.n_steps if stop_at_step is None else min(cfg.n_steps, stop_at_step)
     (result,) = _run_batch(
-        cfg, stepper, u0.values[None], [noise],
-        start_step, end_step, checkpoint_every, checkpoint_cb,
+        cfg, stepper, u0.values[None], [noise], start_step, checkpoint_every, checkpoint_cb
     )
     return result
 
@@ -347,18 +344,16 @@ def _run_batch(
     u0: np.ndarray,
     noises: Sequence[NoisePath],
     start_step: int = 0,
-    end_step: int | None = None,
     checkpoint_every: int | None = None,
-    checkpoint_cb: Callable[[PathState], None] | None = None,
+    checkpoint_cb: Callable[[ScalarField, int], None] | None = None,
 ) -> list[PathResult]:
     """Advance the rows of u0 (P, n, n) in lockstep, row p driven by noises[p].
 
     A row leaves the batch when it turns non-finite (censored with the step
     and grid index of the blow-up) or, under stop_at_tau_r, once its tau_R
-    has latched; the other rows go on unchanged. checkpoint_cb receives row 0
-    as a PathState, so it serves one-path runs.
+    has latched; the other rows go on unchanged. checkpoint_cb receives the
+    field of row 0 and its step, so it serves one-path runs.
     """
-    end_step = cfg.n_steps if end_step is None else end_step
     trunc = cfg.form.kind is FormKind.REGULARIZED_TRUNCATED
     r_half = 0.5 * cfg.form.r_trunc
     logs = [_PathLog(nz.seed) for nz in noises]
@@ -411,7 +406,7 @@ def _run_batch(
     if trunc:
         latch(np.array([rec.hess_linf for rec in recs]) >= r_half)
 
-    while paths.size and batch.step < end_step:
+    while paths.size and batch.step < cfg.n_steps:
         if cfg.stop_at_tau_r and tau_hit.any():
             finish({r: {} for r in np.flatnonzero(tau_hit)})
             continue
@@ -432,15 +427,14 @@ def _run_batch(
             if sample is not None:
                 for r, p in enumerate(paths):
                     logs[p].samples.append(sample.row(r))
-        if batch.step % cfg.record_stride == 0 or batch.step == end_step:
+        if batch.step % cfg.record_stride == 0 or batch.step == cfg.n_steps:
             take_record()
         if (
             checkpoint_cb is not None
             and checkpoint_every
             and (batch.step - start_step) % checkpoint_every == 0
         ):
-            row0 = ScalarField(cfg.grid, batch.u[0])
-            checkpoint_cb(PathState(row0, batch.step, noises[paths[0]]))
+            checkpoint_cb(ScalarField(cfg.grid, batch.u[0]), batch.step)
 
     finish({r: {} for r in range(paths.size)})
     return results

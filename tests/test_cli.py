@@ -154,6 +154,20 @@ class TestResume:
         )
         assert (split / "final.snap").read_bytes() == (full / "final.snap").read_bytes()
 
+    @pytest.mark.parametrize("stop", ["20", "21"])
+    def test_stop_at_or_beyond_the_run_length_is_the_full_run(self, tmp_path, capsys, stop):
+        # BASE_CFG runs 20 steps; a stop there or later ends nothing early
+        cfg = write_cfg(tmp_path)
+        full, stopped = tmp_path / "full", tmp_path / "stopped"
+        assert main(["run", cfg, "--output-dir", str(full)]) == EXIT_OK
+        capsys.readouterr()
+        args = ["run", cfg, "--output-dir", str(stopped), "--stop-after-steps", stop]
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out.startswith("run complete: 20 steps")
+        assert not (stopped / "checkpoint.snap").exists()
+        for name in ("series.csv", "final.snap"):
+            assert (stopped / name).read_bytes() == (full / name).read_bytes()
+
     def test_periodic_checkpoints_also_resume_exactly(self, tmp_path):
         cfg = write_cfg(tmp_path)
         full = tmp_path / "full"

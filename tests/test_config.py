@@ -136,11 +136,12 @@ class TestValidation:
             ("T = nan", "T must be positive and finite"),
             ("T = inf", "T must be positive and finite"),
             ("dt = 0.0003\nT = 0.1", "not an integer multiple"),
-            # the model keys are range-checked by the form that reads them
+            # the model keys are range-checked by the form that reads them,
+            # and each message names the key the file sets
             ("form = regularized\neps = 1.5", r"regularized needs eps in \(0, 1\]"),
             ("form = regularized\neta = -0.2", r"regularized needs eta in \[0, 1\]"),
-            ("form = regularized\nbigK = 0", r"regularized needs integer big_k >= 1"),
-            ("form = regularized_truncated\nR = 0.0", "truncation radius must be positive"),
+            ("form = regularized\nbigK = 0", r"regularized needs integer bigK >= 1, got 0$"),
+            ("form = regularized_truncated\nR = 0.0", r"radius must be positive, got R = 0\.0$"),
             ("form = rho_variant\nrho = 2.0", r"rho must lie in \(0, 2\)"),
             ("theta = -1.0", "unknown config key 'theta'"),
             ("n_paths = 0", "n_paths must be at least 1"),

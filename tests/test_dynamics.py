@@ -17,15 +17,16 @@ from smcflow.dynamics import (
     PathState,
     PicardReport,
     default_dt,
-    diffusion,
     drift,
     explicit_terms,
     linear_dt_bound,
     mild_picard_iterate,
     truncate_hessian_arrays,
 )
+from smcflow.config import build_initial, resolve_dt
 from smcflow.geometry import geometry_bundle
 from smcflow.grid import GridSpec, ScalarField, get_workspace, gradient, l2_norm_sq
+from smcflow.harness import ModelConfig, run_path
 from smcflow.noise import NoisePath, path_seed
 
 TWO_PI = 2.0 * math.pi
@@ -34,6 +35,12 @@ TWO_PI = 2.0 * math.pi
 def smooth_u0(grid):
     x1, x2 = grid.nodes()
     return ScalarField(grid, 0.3 * np.sin(TWO_PI * x1) + 0.2 * np.cos(TWO_PI * x2))
+
+
+def diffusion(u, form):
+    """The noise coefficient sqrt(rho) H(grad u) of one field, from the stepping kernel."""
+    ws = get_workspace(u.grid.n)
+    return explicit_terms(ws.forward(u.values[None]), form, ws)[1][0]
 
 
 def grad_energy(u):
@@ -161,7 +168,7 @@ class TestDrift:
         (ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=30.0), True),
     ])
     def test_drift_and_diffusion_match_the_stepper_bitwise(self, form, steep, monkeypatch):
-        # drift() = A u + N and diffusion() = g, with N and g the fields the
+        # drift() = A u + N and the kernel's one-field g equal the fields the
         # em_imex step itself used; the steep field (sup |D^2 u| = 2 pi^2 >
         # R/2) makes the cutoff act
         grid = GridSpec(16)
@@ -187,16 +194,16 @@ class TestDrift:
         lin = ws.inverse(ws.linear_sym(form.lap_coef, form.eta, form.big_k) * uh)
         expected = lin[0] + n_explicit[0]
         assert drift(u, form).values.tobytes() == expected.tobytes()
-        assert diffusion(u, form).values.tobytes() == g[0].tobytes()
+        assert diffusion(u, form).tobytes() == g[0].tobytes()
 
 
 class TestDiffusion:
     def test_flat_is_sqrt_rho(self):
         grid = GridSpec(16)
         u = ScalarField.constant(grid, 3.0)
-        assert np.all(diffusion(u, ModelForm(FormKind.ITO_MCF)).values == 1.0)
+        assert np.all(diffusion(u, ModelForm(FormKind.ITO_MCF)) == 1.0)
         g = diffusion(u, ModelForm(FormKind.RHO_VARIANT, rho=0.25))
-        assert np.all(g.values == 0.5)
+        assert np.all(g == 0.5)
 
     def test_pointwise_slope_oracle(self):
         # gradient (3, 4) at the origin node gives H = sqrt(26) there
@@ -207,13 +214,13 @@ class TestDiffusion:
             (3.0 / TWO_PI) * np.sin(TWO_PI * x1) + (4.0 / TWO_PI) * np.sin(TWO_PI * x2),
         )
         g = diffusion(u, ModelForm(FormKind.ITO_MCF))
-        assert g.values[0, 0] == pytest.approx(math.sqrt(26.0), rel=1e-12)
+        assert g[0, 0] == pytest.approx(math.sqrt(26.0), rel=1e-12)
 
     def test_lower_bound(self):
         u = smooth_u0(GridSpec(32))
         rho = 0.49
         g = diffusion(u, ModelForm(FormKind.RHO_VARIANT, rho=rho))
-        assert np.all(g.values >= math.sqrt(rho))
+        assert np.all(g >= math.sqrt(rho))
 
 
 class TestTruncation:
@@ -466,6 +473,58 @@ class TestStepMechanics:
         sa, _ = EmImexStepper(grid, reg, noise.dt).step(sa)
         sb, _ = EmImexStepper(grid, trunc, noise.dt).step(sb)
         assert not np.array_equal(sa.u.values, sb.u.values)
+
+
+class TestSpatialConvergence:
+    """One noise path drives a smooth field at n = 16, 32 and 64.
+
+    The noise is one scalar Wiener process for all of space and a modes:
+    field samples the same function at every n, so the three runs differ
+    only in resolution. Each coarse terminal is zero-padded in Fourier space
+    (Nyquist dropped) to n = 64, and its RMS gap to the n = 64 terminal must
+    shrink by FACTOR from n = 16 to n = 32. Measured ratios (numpy 2.4.6):
+    ito_mcf 135, ito_anisotropic 425, regularized 351, regularized_truncated
+    13 (its clip acts at every n) and rho_variant 36.
+    """
+
+    FACTOR = 10.0
+
+    @staticmethod
+    def upsample(u, n):
+        """The trigonometric interpolant of the (m, m) field u on the n x n grid."""
+        m = u.shape[0]
+        k = np.fft.fftfreq(m, 1.0 / m).astype(int)
+        keep = np.flatnonzero(np.abs(k) < m // 2)  # Nyquist dropped
+        hat = np.zeros((n, n), dtype=complex)
+        hat[np.ix_(k[keep] % n, k[keep] % n)] = np.fft.fft2(u)[np.ix_(keep, keep)]
+        return np.fft.ifft2(hat).real * (n / m) ** 2
+
+    # stratonovich_mcf is left out: today's Heun run does not converge in n
+    # (x1.06, a grid-scale checkerboard). ROADMAP item 2 adds it here.
+    @pytest.mark.parametrize("form", [
+        ModelForm(FormKind.ITO_MCF),
+        ModelForm(FormKind.ITO_ANISOTROPIC),
+        ModelForm(FormKind.REGULARIZED, eps=0.1),
+        ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, r_trunc=30.0),
+        ModelForm(FormKind.RHO_VARIANT, rho=0.5),
+    ], ids=lambda form: form.kind.value)
+    def test_n32_gap_is_far_below_the_n16_gap(self, form):
+        horizon = 0.05
+        dt = resolve_dt(default_dt(form, 64), horizon)  # the n = 64 derived dt
+        steps = round(horizon / dt)
+        noise = NoisePath.generate(5, dt, steps)
+        terminal = {}
+        for n in (16, 32, 64):
+            u0 = build_initial("modes:[(1,0,0.5,0.0),(0,1,0.3,0.25)]", GridSpec(n))
+            res = run_path(ModelConfig(form, n, dt, steps, record_stride=steps), u0, noise)
+            assert res.steps_done == steps
+            assert res.tau_r_triggered == (form.kind is FormKind.REGULARIZED_TRUNCATED)
+            terminal[n] = res.terminal.values
+        gap16, gap32 = (
+            np.sqrt(np.mean((self.upsample(terminal[n], 64) - terminal[64]) ** 2))
+            for n in (16, 32)
+        )
+        assert gap32 * self.FACTOR <= gap16
 
 
 class TestSelfConvergence:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,7 @@ class TestRunPath:
         noise = NoisePath.generate(31, cfg.dt, cfg.n_steps)
         u0 = smooth_u0(grid)
         full = run_path(cfg, u0, noise=noise)
-        first = run_path(cfg, u0, noise=noise, stop_at_step=5)
+        first = run_path(replace(cfg, n_steps=5), u0, noise=noise)
         assert first.steps_done == 5
         second = run_path(cfg, first.terminal, noise=noise, start_step=5)
         assert second.steps_done == 10
@@ -186,7 +187,7 @@ class TestRunPath:
         seen = []
         run_path(
             cfg, ScalarField.constant(cfg.grid, 0.0), NoisePath.generate(3, cfg.dt, 20),
-            checkpoint_every=6, checkpoint_cb=lambda st: seen.append(st.step),
+            checkpoint_every=6, checkpoint_cb=lambda u, step: seen.append(step),
         )
         assert seen == [6, 12, 18]
 

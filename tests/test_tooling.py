@@ -11,6 +11,8 @@ workspace methods that the tracer counts and ``tests/test_grid.py`` pins to
 ``harness.py``, whose worker slices reap and test every child. A fourth
 keeps ``numpy.ma`` out of the package: numpy's ``np.unique``-based set
 routines import it (~1 MB resident) on their first call, so none is used.
+A fifth keeps ``PathState``, the one-path stepper input, inside
+``dynamics.py``: every run outside it advances a batch.
 """
 import ast
 import dataclasses
@@ -107,8 +109,7 @@ def test_option_surface_is_pinned():
     # a path is driven by its initial field and an explicit noise path only;
     # a deterministic run passes a zero path
     assert params(run_path) == [
-        "cfg", "u0", "noise", "stepper", "start_step", "stop_at_step",
-        "checkpoint_every", "checkpoint_cb",
+        "cfg", "u0", "noise", "stepper", "start_step", "checkpoint_every", "checkpoint_cb",
     ]
     assert params(run_paths) == ["cfg", "u0", "noises"]
     assert params(run_ensemble) == ["cfg", "u0", "n_paths", "base_seed"]
@@ -254,3 +255,23 @@ def test_no_numpy_ma_in_the_package():
         for line, what in masked_array_uses(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert hits == []
+
+
+def path_state_names(path):
+    """Lines of a file that name PathState (definition, import or use), as "file:line"."""
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        # Name.id, Attribute.attr, and ClassDef.name or an import's alias.name
+        if "PathState" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    ]
+
+
+def test_path_state_stays_in_dynamics():
+    # the steppers still take a PathState from unit tests and the benchmark's
+    # size sweep; no other module builds or reads one
+    package = ROOT / "src" / "smcflow"
+    assert path_state_names(package / "dynamics.py")  # the scan sees the class
+    others = sorted(p for p in package.glob("*.py") if p.name != "dynamics.py")
+    assert others
+    assert [hit for path in others for hit in path_state_names(path)] == []
