@@ -17,6 +17,7 @@ from .config import (
     ignored_keys,
     n_steps_of,
     to_model_config,
+    with_config_keys,
 )
 from .dynamics import NonFiniteFieldError
 from .grid import GridSpec
@@ -224,7 +225,9 @@ def _cmd_sweep(args) -> int:
     try:
         plan = SweepPlan(args.axis, values, mc, cfg.n_paths, cfg.base_seed)
     except ValueError as e:
-        raise ConfigError(f"cannot sweep {args.axis} over {args.values!r}: {e}") from None
+        raise ConfigError(
+            f"cannot sweep {args.axis} over {args.values!r}: {with_config_keys(str(e))}"
+        ) from None
     out = _outdir(cfg, args.output_dir)
     u0 = build_initial(cfg.initial_condition, mc.grid)
 

@@ -33,6 +33,7 @@ __all__ = [
     "serialize_config",
     "config_from_file",
     "to_model_form",
+    "with_config_keys",
     "ignored_keys",
     "to_model_config",
     "n_steps_of",
@@ -190,13 +191,18 @@ def n_steps_of(cfg: RunConfig) -> int:
 _FORM_KEYS = {"eps": "eps", "eta": "eta", "big_k": "bigK", "r_trunc": "R", "rho": "rho"}
 
 
+def with_config_keys(message: str) -> str:
+    """A ModelForm error message with each field name replaced by its config key."""
+    return re.sub(r"\w+", lambda m: _FORM_KEYS.get(m[0], m[0]), message)
+
+
 def to_model_form(cfg: RunConfig) -> ModelForm:
     """cfg's ModelForm; a range error names the config key, not the field."""
     kind = FormKind(cfg.form)
     try:
         return ModelForm(kind, **{p: getattr(cfg, _FORM_KEYS[p]) for p in FORM_READS[kind]})
     except ValueError as e:
-        raise ValueError(re.sub(r"\w+", lambda m: _FORM_KEYS.get(m[0], m[0]), str(e))) from None
+        raise ValueError(with_config_keys(str(e))) from None
 
 
 def ignored_keys(cfg: RunConfig) -> list[str]:

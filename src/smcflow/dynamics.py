@@ -21,7 +21,7 @@ to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -262,11 +262,9 @@ def drift(u: ScalarField, form: ModelForm) -> ScalarField:
 
 @dataclass
 class PathState:
-    """One path's state between steps.
+    """One path's field, step and noise path; a stepper input only.
 
-    The real-space array is the whole state: steppers recompute spectral
-    data from it every step, so a path checkpointed to disk and resumed
-    reproduces the uninterrupted trajectory bit for bit.
+    A stepper steps it as the batch of one and returns a PathBatch.
     """
 
     u: ScalarField
@@ -280,7 +278,10 @@ class PathBatch:
 
     ``u`` is (P, n, n) and ``increments`` (P, m) holds each row's Brownian
     increments on the stepper's time grid. Rows never interact, so each row
-    evolves bit for bit as it would alone.
+    evolves bit for bit as it would alone. The real-space array is the whole
+    state: steppers recompute spectral data from it every step, so a path
+    checkpointed to disk and resumed reproduces the uninterrupted trajectory
+    bit for bit.
     """
 
     u: np.ndarray
@@ -290,29 +291,23 @@ class PathBatch:
 
 @dataclass
 class StepAudit:
-    """Per-step mass bookkeeping emitted by the steppers.
+    """Per-step mass bookkeeping emitted by the steppers, one entry per batch row.
 
     Mass entries are spatial integrals; `drift_mass` excludes the implicit
     linear part, whose integral vanishes identically (zero symbol at k = 0).
-    A batch step fills every entry with one value per row.
     """
 
-    dw: float
-    mass_before: float
-    mass_after: float
-    drift_mass: float
-    noise_mass: float
-    g_mass: float = 0.0
-    hess_linf: float | None = None
+    dw: np.ndarray
+    mass_before: np.ndarray
+    mass_after: np.ndarray
+    drift_mass: np.ndarray
+    noise_mass: np.ndarray
+    g_mass: np.ndarray
+    hess_linf: np.ndarray | None = None
 
     @property
-    def mass_residual(self) -> float:
+    def mass_residual(self) -> np.ndarray:
         return self.mass_after - (self.mass_before + self.drift_mass + self.noise_mass)
-
-    def row(self, i: int) -> "StepAudit":
-        """Row i of a batch audit, as floats."""
-        values = (getattr(self, f.name) for f in fields(self))
-        return StepAudit(*(None if x is None else float(x[i]) for x in values))
 
 
 def _check_finite(values: np.ndarray, step: int):
@@ -327,18 +322,20 @@ def _check_finite(values: np.ndarray, step: int):
 
 
 def _as_batch(state: PathState | PathBatch) -> PathBatch:
+    """A batch as it is; a PathState as the batch of one at its step."""
     if isinstance(state, PathBatch):
         return state
     return PathBatch(state.u.values[None], state.step, state.noise.increments[None])
 
 
-def _advanced(state, u, u_plus, dt, n_explicit, g, dw, hess_linf=None):
-    """The stepped state in the caller's form (a batch, or one path) and its audit.
+def _advanced(batch: PathBatch, u_plus, dt, n_explicit, g, dw, hess_linf=None):
+    """The stepped batch and its audit.
 
     ``n_explicit`` and ``g`` are the explicit drift and the noise coefficient
-    the step applied to the (P, n, n) batch ``u``; the implicit linear part
-    integrates to zero, so the mass bookkeeping needs nothing else.
+    the step applied to ``batch.u``; the implicit linear part integrates to
+    zero, so the mass bookkeeping needs nothing else.
     """
+    u = batch.u
     inv_n2 = 1.0 / (u.shape[-1] ** 2)
     g_mass = np.sum(g, axis=(1, 2)) * inv_n2
     audit = StepAudit(
@@ -350,10 +347,7 @@ def _advanced(state, u, u_plus, dt, n_explicit, g, dw, hess_linf=None):
         g_mass=g_mass,
         hess_linf=hess_linf,
     )
-    if isinstance(state, PathBatch):
-        return PathBatch(u_plus, state.step + 1, state.increments), audit
-    new_state = replace(state, u=ScalarField(state.u.grid, u_plus[0]), step=state.step + 1)
-    return new_state, audit.row(0)
+    return PathBatch(u_plus, batch.step + 1, batch.increments), audit
 
 
 class EmImexStepper:
@@ -379,10 +373,11 @@ class EmImexStepper:
         self.denom = 1.0 - dt * self.ws.linear_sym(form.lap_coef, form.eta, form.big_k)
 
     def step(self, state):
-        """Advance one PathState, or every row of a PathBatch, by one step.
+        """Advance every row of a PathBatch by one step.
 
-        Returns the new state of the same kind and its StepAudit; a batch
-        raises NonFiniteFieldError naming every row that blew up.
+        Returns the stepped PathBatch and its StepAudit; a PathState is
+        stepped as the batch of one. Raises NonFiniteFieldError naming every
+        row that blew up.
         """
         ws = self.ws
         batch = _as_batch(state)
@@ -392,7 +387,7 @@ class EmImexStepper:
         rhs = u + self.dt * n_expl + g * dw[:, None, None]
         u_plus = ws.inverse(ws.forward(rhs) / self.denom)
         _check_finite(u_plus, batch.step + 1)
-        return _advanced(state, u, u_plus, self.dt, n_expl, g, dw, hess_linf)
+        return _advanced(batch, u_plus, self.dt, n_expl, g, dw, hess_linf)
 
 
 class HeunStratStepper:
@@ -421,10 +416,10 @@ class HeunStratStepper:
         self.ws = get_workspace(grid.n)
 
     def step(self, state):
-        """Advance one PathState, or every row of a PathBatch, by one step.
+        """Advance every row of a PathBatch by one step, as :meth:`EmImexStepper.step`.
 
         A row failing in the predictor or the corrector is reported by
-        NonFiniteFieldError, as in :meth:`EmImexStepper.step`.
+        NonFiniteFieldError.
         """
         ws = self.ws
         batch = _as_batch(state)
@@ -439,7 +434,7 @@ class HeunStratStepper:
         g_avg = 0.5 * (g0 + g1)
         u_plus = u + self.dt * drift_avg + g_avg * dw3
         _check_finite(u_plus, batch.step + 1)
-        return _advanced(state, u, u_plus, self.dt, drift_avg, g_avg, dw)
+        return _advanced(batch, u_plus, self.dt, drift_avg, g_avg, dw)
 
 
 # ---------------------------------------------------------------------------

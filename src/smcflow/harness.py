@@ -129,19 +129,25 @@ def make_stepper(cfg: ModelConfig):
 
 @dataclass
 class PathResult:
+    """One path's run; its batch row appends to it and completes it on leaving."""
+
     seed: int                      # seed of the driving noise path
-    records: list[EnergyRecord]
-    record_steps: list[int]
-    v_lap: np.ndarray              # <v, Lap u> at the record times
-    terminal: ScalarField
-    steps_done: int
-    max_mass_residual: float
+    records: list[EnergyRecord] = field(default_factory=list)
+    record_steps: list[int] = field(default_factory=list)
+    # <v, Lap u> at the record times; a list until the row leaves its batch
+    v_lap: np.ndarray = field(default_factory=list)
+    terminal: ScalarField | None = None
+    steps_done: int = 0
+    max_mass_residual: float = 0.0
     censored: bool = False
     blowup_step: int | None = None
     blowup_index: tuple[int, int] | None = None  # first non-finite grid entry
-    tau_r_triggered: bool = False
     tau_r_time: float | None = None
     martingale_samples: list[MartingaleSample] = field(default_factory=list)
+
+    @property
+    def tau_r_triggered(self) -> bool:
+        return self.tau_r_time is not None
 
 
 def run_path(
@@ -311,33 +317,6 @@ def _run_slice(cfg, u0, lo, hi, noise_of) -> list[PathResult]:
     return results
 
 
-@dataclass
-class _PathLog:
-    """What one path has recorded while its row is in a batch."""
-
-    seed: int | None
-    records: list[EnergyRecord] = field(default_factory=list)
-    record_steps: list[int] = field(default_factory=list)
-    v_lap: list[float] = field(default_factory=list)
-    samples: list[MartingaleSample] = field(default_factory=list)
-    tau_r_time: float | None = None
-
-    def result(self, terminal, steps_done, max_res, **blowup) -> PathResult:
-        return PathResult(
-            seed=self.seed,
-            records=self.records,
-            record_steps=self.record_steps,
-            v_lap=np.array(self.v_lap),
-            terminal=terminal,
-            steps_done=steps_done,
-            max_mass_residual=max_res,
-            tau_r_triggered=self.tau_r_time is not None,
-            tau_r_time=self.tau_r_time,
-            martingale_samples=self.samples,
-            **blowup,
-        )
-
-
 def _run_batch(
     cfg: ModelConfig,
     stepper,
@@ -356,9 +335,8 @@ def _run_batch(
     """
     trunc = cfg.form.kind is FormKind.REGULARIZED_TRUNCATED
     r_half = 0.5 * cfg.form.r_trunc
-    logs = [_PathLog(nz.seed) for nz in noises]
-    results: list[PathResult | None] = [None] * len(noises)
-    paths = np.arange(len(noises))  # path index of each batch row
+    results = [PathResult(nz.seed) for nz in noises]
+    live = results  # the result of each batch row
     tau_hit = np.zeros(len(noises), dtype=bool)
     max_res = np.zeros(len(noises))
     tracker = (
@@ -370,35 +348,42 @@ def _run_batch(
 
     def take_record():
         recs, vl = record_path_sample(batch.u, batch.step * dt)
-        for r, p in enumerate(paths):
-            log = logs[p]
-            log.records.append(recs[r])
-            log.record_steps.append(batch.step)
-            log.v_lap.append(vl[r])
+        for res, rec, v in zip(live, recs, vl):
+            res.records.append(rec)
+            res.record_steps.append(batch.step)
+            res.v_lap.append(v)
         return recs
 
     def latch(hit: np.ndarray):
         """Latch tau_R at the current time for rows whose ||D^2 u||_inf hit R/2."""
         nonlocal tau_hit
         for r in np.flatnonzero(hit & ~tau_hit):
-            logs[paths[r]].tau_r_time = batch.step * dt
+            live[r].tau_r_time = batch.step * dt
         tau_hit = tau_hit | hit
 
     def finish(leaving: dict):
-        """Close the results of the given batch rows and drop them from the batch."""
-        nonlocal batch, paths, tau_hit, max_res
+        """Complete the results of the given batch rows and drop them from the batch.
+
+        ``leaving`` maps a row to its blow-up (step, grid index), or to None.
+        """
+        nonlocal batch, live, tau_hit, max_res
         for r, blowup in leaving.items():
+            res = live[r]
             # a copy, so a kept terminal does not pin the whole batch array
-            results[paths[r]] = logs[paths[r]].result(
-                ScalarField(cfg.grid, batch.u[r].copy()), batch.step, float(max_res[r]),
-                **blowup,
-            )
+            res.terminal = ScalarField(cfg.grid, batch.u[r].copy())
+            res.steps_done = batch.step
+            res.max_mass_residual = float(max_res[r])
+            res.v_lap = np.array(res.v_lap)
+            if blowup is not None:
+                res.censored = True
+                res.blowup_step, res.blowup_index = blowup
         # a mask, not np.setdiff1d, whose np.unique imports all of numpy.ma
-        kept = np.ones(paths.size, dtype=bool)
+        kept = np.ones(len(live), dtype=bool)
         kept[list(leaving)] = False
         keep = np.flatnonzero(kept)
         batch = replace(batch, u=batch.u[keep], increments=batch.increments[keep])
-        paths, tau_hit, max_res = paths[keep], tau_hit[keep], max_res[keep]
+        live = [live[r] for r in keep]
+        tau_hit, max_res = tau_hit[keep], max_res[keep]
         if tracker is not None:
             tracker.select(keep)
 
@@ -406,17 +391,14 @@ def _run_batch(
     if trunc:
         latch(np.array([rec.hess_linf for rec in recs]) >= r_half)
 
-    while paths.size and batch.step < cfg.n_steps:
+    while live and batch.step < cfg.n_steps:
         if cfg.stop_at_tau_r and tau_hit.any():
-            finish({r: {} for r in np.flatnonzero(tau_hit)})
+            finish({r: None for r in np.flatnonzero(tau_hit)})
             continue
         try:
             new_batch, audit = stepper.step(batch)
         except NonFiniteFieldError as e:
-            finish({
-                r: {"censored": True, "blowup_step": e.step, "blowup_index": idx}
-                for r, idx in e.rows.items()
-            })
+            finish({r: (e.step, idx) for r, idx in e.rows.items()})
             continue
         if trunc:
             latch(audit.hess_linf >= r_half)
@@ -425,8 +407,8 @@ def _run_batch(
         if tracker is not None:
             sample = tracker.update(audit)
             if sample is not None:
-                for r, p in enumerate(paths):
-                    logs[p].samples.append(sample.row(r))
+                for r, res in enumerate(live):
+                    res.martingale_samples.append(sample.row(r))
         if batch.step % cfg.record_stride == 0 or batch.step == cfg.n_steps:
             take_record()
         if (
@@ -436,20 +418,29 @@ def _run_batch(
         ):
             checkpoint_cb(ScalarField(cfg.grid, batch.u[0]), batch.step)
 
-    finish({r: {} for r in range(paths.size)})
+    finish({r: None for r in range(len(live))})
     return results
 
 
 @dataclass
 class EnsembleReport:
-    config: ModelConfig
-    base_seed: int
+    """The path results in path order; the counts are derived from them."""
+
     results: list[PathResult]
-    n_paths: int
-    n_censored: int
-    wall_clock: float
-    total_steps: int
+    wall_clock: float  # seconds, the martingale test included
     martingale: MartingaleReport | None = None
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.results)
+
+    @property
+    def n_censored(self) -> int:
+        return sum(1 for r in self.results if r.censored)
+
+    @property
+    def total_steps(self) -> int:
+        return sum(r.steps_done for r in self.results)
 
     @property
     def censor_rate(self) -> float:
@@ -498,22 +489,12 @@ def run_ensemble(
         lambda i: NoisePath.generate(path_seed(base_seed, i), cfg.dt, cfg.n_steps),
     )
 
-    n_censored = sum(1 for r in results if r.censored)
     mart = None
     if cfg.martingale_steps:
         samples = [r.martingale_samples for r in results if not r.censored]
         if samples:
-            mart = martingale_test(samples, n_censored=n_censored)
-    return EnsembleReport(
-        config=cfg,
-        base_seed=base_seed,
-        results=results,
-        n_paths=n_paths,
-        n_censored=n_censored,
-        wall_clock=time.perf_counter() - t0,
-        total_steps=sum(r.steps_done for r in results),
-        martingale=mart,
-    )
+            mart = martingale_test(samples, n_censored=n_paths - len(samples))
+    return EnsembleReport(results, time.perf_counter() - t0, mart)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,8 @@ class MartingaleSample:
     a_int    sum_j dt <g_j, 1>     (cross-variation reference)
     w        W(t)
 
-    A tracker fed batch audits fills the five sums with one value per row.
+    A tracker's sample holds one value per batch row in the five sums;
+    :meth:`row` cuts out one path's sample.
     """
 
     step: int
@@ -131,12 +132,12 @@ class MartingaleSample:
 
 
 class MartingaleTracker:
-    """Accumulates the martingale identities along one path, for phi = 1.
+    """Accumulates the martingale identities along a batch of paths, for phi = 1.
 
     Everything reduces to the audit's mass bookkeeping: the implicit linear
     part integrates to zero exactly, so m_def only needs the explicit drift
-    masses. Batch audits work too; every accumulator then holds one value
-    per row, and :meth:`select` drops rows leaving the batch.
+    masses. Every accumulator holds one value per batch row, and
+    :meth:`select` drops rows leaving the batch.
     """
 
     def __init__(self, dt: float, sample_steps: Sequence[int]):
@@ -149,7 +150,6 @@ class MartingaleTracker:
         self.a_int = 0.0
         self.w = 0.0
         self.step = 0
-        self.samples: list[MartingaleSample] = []
 
     def update(self, audit: StepAudit) -> MartingaleSample | None:
         """Fold in one step; returns the sample taken at this step, if any."""
@@ -166,7 +166,7 @@ class MartingaleTracker:
         if self.step not in self.sample_steps:
             return None
         m_def = (audit.mass_after - self.mass0) - self.drift_int
-        sample = MartingaleSample(
+        return MartingaleSample(
             step=self.step,
             t=self.step * self.dt,
             m=self.m,
@@ -175,8 +175,6 @@ class MartingaleTracker:
             a_int=self.a_int,
             w=self.w,
         )
-        self.samples.append(sample)
-        return sample
 
     def select(self, rows: np.ndarray):
         """Keep the per-row accumulators of the given batch rows only."""
@@ -348,8 +346,8 @@ class AreaInequalityReport:
 
 def area_inequality_check(
     records_per_path: Sequence[Sequence[EnergyRecord]],
-    v_lap_per_path: Sequence[Sequence[float]] | None = None,
-    eps: float = 0.0,
+    v_lap_per_path: Sequence[Sequence[float]],
+    eps: float,
 ) -> AreaInequalityReport:
     """Surface-area budget ratio for one ensemble, plus its decomposition.
 
@@ -367,15 +365,10 @@ def area_inequality_check(
     dissipation_mean = float(diss_tot.mean())
     area0_mean = float(area[:, 0].mean())
     ratio = (sup_mean + 0.5 * dissipation_mean) / area0_mean
-    if v_lap_per_path is None:
-        if eps != 0.0:
-            raise ValueError("an eps share needs the recorded <v, Lap u> series")
-        share = np.zeros(p)
-    else:
-        v_lap = np.array(v_lap_per_path, dtype=float)
-        if v_lap.shape != area.shape:
-            raise ValueError("<v, Lap u> series must align with the records")
-        share = eps * _cumtrapz(v_lap, times)[:, -1]
+    v_lap = np.array(v_lap_per_path, dtype=float)
+    if v_lap.shape != area.shape:
+        raise ValueError("<v, Lap u> series must align with the records")
+    share = eps * _cumtrapz(v_lap, times)[:, -1]
     closure = area[:, -1] - area[:, 0] + diss_tot + share
     closure_se = float(closure.std(ddof=1) / np.sqrt(p)) if p > 1 else 0.0
     return AreaInequalityReport(

@@ -29,7 +29,6 @@ from .grid import (
     integrate,
 )
 from .harness import ModelConfig, run_ensemble, run_path
-from .monitors import martingale_test
 from .noise import NoisePath
 
 __all__ = ["CheckResult", "run_all"]
@@ -177,7 +176,7 @@ def check_martingale_flat() -> tuple[bool, str]:
         martingale_steps=(n_steps,),
     )
     rep = run_ensemble(cfg, ScalarField.constant(grid, 0.0), n_paths, base_seed=2024)
-    mart = martingale_test([r.martingale_samples for r in rep.results])
+    mart = rep.martingale
     t = n_steps * dt
     ratio = float(mart.var_m[0] / t)
     band = 3.0 * math.sqrt(2.0 / n_paths)

@@ -18,7 +18,7 @@ from smcflow.dynamics import (
     FormKind,
     HeunStratStepper,
     ModelForm,
-    PathState,
+    PathBatch,
     mild_picard_iterate,
 )
 from smcflow.geometry import (
@@ -160,11 +160,11 @@ def test_criterion_03_flat_graph_exactness():
     worst = 0.0
     for cls, form in combos:
         noise = NoisePath.generate(4242, 1e-3, 1000)
-        state = PathState(u=ScalarField.constant(grid, 0.7), step=0, noise=noise)
+        batch = PathBatch(np.full((1, grid.n, grid.n), 0.7), 0, noise.increments[None])
         stepper = cls(grid, form, noise.dt)
         for m in range(1000):
-            state, _ = stepper.step(state)
-            gap = float(np.max(np.abs(state.u.values - 0.7 - noise.w[m + 1])))
+            batch, _ = stepper.step(batch)
+            gap = float(np.max(np.abs(batch.u - 0.7 - noise.w[m + 1])))
             worst = max(worst, gap)
     print(f"crit03: worst |u - c - W| over 3 steppers x 1000 steps: {worst:.3e}")
     assert worst <= 1e-12

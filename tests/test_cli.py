@@ -395,7 +395,7 @@ class TestSweepCommand:
             pytest.param("eta", "0.2,nan", "strictly monotone", id="nan"),
             pytest.param("R", "60,20", "R sweeps must increase", id="decreasing-R"),
             pytest.param("epsilon", "0.4,1.5", r"eps in \(0, 1\]", id="epsilon-range"),
-            pytest.param("R", "0,20", "radius must be positive", id="R-range"),
+            pytest.param("R", "0,20", "radius must be positive, got R = 0.0$", id="R-range"),
         ],
     )
     def test_bad_values_are_validation_errors(

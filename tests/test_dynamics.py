@@ -1,4 +1,5 @@
 """Tests for model forms, drift/diffusion assembly, truncation, and steppers."""
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -14,8 +15,9 @@ from smcflow.dynamics import (
     HeunStratStepper,
     ModelForm,
     NonFiniteFieldError,
-    PathState,
+    PathBatch,
     PicardReport,
+    StepAudit,
     default_dt,
     drift,
     explicit_terms,
@@ -35,6 +37,11 @@ TWO_PI = 2.0 * math.pi
 def smooth_u0(grid):
     x1, x2 = grid.nodes()
     return ScalarField(grid, 0.3 * np.sin(TWO_PI * x1) + 0.2 * np.cos(TWO_PI * x2))
+
+
+def one_row(u, noise):
+    """The field u driven by noise, as a PathBatch of one at step 0."""
+    return PathBatch(u.values[None], 0, noise.increments[None])
 
 
 def diffusion(u, form):
@@ -185,10 +192,10 @@ class TestDrift:
 
         with monkeypatch.context() as m:
             m.setattr(dynamics, "explicit_terms", spy)
-            _, audit = stepper.step(PathState(u=u, step=0, noise=noise))
+            _, audit = stepper.step(one_row(u, noise))
         (n_explicit, g, _), = used
         if steep:
-            assert audit.hess_linf > 0.5 * form.r_trunc
+            assert audit.hess_linf[0] > 0.5 * form.r_trunc
         ws = get_workspace(grid.n)
         uh = ws.forward(u.values[None])
         lin = ws.inverse(ws.linear_sym(form.lap_coef, form.eta, form.big_k) * uh)
@@ -378,11 +385,11 @@ class TestLinearDtBound:
         growth = {}
         for factor in (0.98, 1.02):
             dt = factor * bound
-            state = PathState(u=u0, step=0, noise=NoisePath(0, dt, 0, np.zeros(100)))
+            batch = one_row(u0, NoisePath(0, dt, 0, np.zeros(100)))
             stepper = cls(grid, form, dt)
             for _ in range(100):
-                state, _ = stepper.step(state)
-            growth[factor] = np.max(np.abs(state.u.values)) / 1e-8
+                batch, _ = stepper.step(batch)
+            growth[factor] = np.max(np.abs(batch.u)) / 1e-8
         assert growth[0.98] < 1.0
         assert growth[1.02] > 10.0
 
@@ -393,12 +400,12 @@ class TestFlatExactness:
     def run_flat(self, stepper_cls, form, c, scale, n_steps=1000):
         grid = GridSpec(16)
         noise = NoisePath.generate(4242, 1e-3, n_steps)
-        state = PathState(u=ScalarField.constant(grid, c), step=0, noise=noise)
+        batch = one_row(ScalarField.constant(grid, c), noise)
         stepper = stepper_cls(grid, form, noise.dt)
         worst = 0.0
         for m in range(n_steps):
-            state, _ = stepper.step(state)
-            gap = np.max(np.abs(state.u.values - c - scale * noise.w[m + 1]))
+            batch, _ = stepper.step(batch)
+            gap = np.max(np.abs(batch.u - c - scale * noise.w[m + 1]))
             worst = max(worst, float(gap))
         return worst
 
@@ -427,11 +434,11 @@ class TestStepMechanics:
             (ModelForm(FormKind.REGULARIZED, eps=0.1, eta=1e-4), EmImexStepper),
             (ModelForm(FormKind.STRATONOVICH_MCF), HeunStratStepper),
         ):
-            state = PathState(u=smooth_u0(grid), step=0, noise=noise)
+            batch = one_row(smooth_u0(grid), noise)
             stepper = cls(grid, form, noise.dt)
             for _ in range(8):
-                state, audit = stepper.step(state)
-                assert abs(audit.mass_residual) <= 1e-10
+                batch, audit = stepper.step(batch)
+                assert abs(audit.mass_residual[0]) <= 1e-10
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_field_reported(self):
@@ -439,10 +446,10 @@ class TestStepMechanics:
         bad = np.full((16, 16), 1e160)
         bad[3, 5] = -1e160
         noise = NoisePath.generate(0, 1e-3, 2)
-        state = PathState(u=ScalarField(grid, bad), step=0, noise=noise)
+        batch = one_row(ScalarField(grid, bad), noise)
         stepper = EmImexStepper(grid, ModelForm(FormKind.ITO_MCF), 1e-3)
         with pytest.raises(NonFiniteFieldError) as err:
-            stepper.step(state)
+            stepper.step(batch)
         assert err.value.step == 1
         assert isinstance(err.value.index, tuple)
 
@@ -452,14 +459,14 @@ class TestStepMechanics:
         noise = NoisePath.generate(9, 1e-4, 20)
         reg = ModelForm(FormKind.REGULARIZED, eps=0.1, eta=0.0)
         trunc = ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, eta=0.0, r_trunc=1e6)
-        sa = PathState(u=smooth_u0(grid), step=0, noise=noise)
-        sb = PathState(u=smooth_u0(grid), step=0, noise=noise)
+        sa = one_row(smooth_u0(grid), noise)
+        sb = one_row(smooth_u0(grid), noise)
         st_a = EmImexStepper(grid, reg, noise.dt)
         st_b = EmImexStepper(grid, trunc, noise.dt)
         for _ in range(20):
             sa, _ = st_a.step(sa)
             sb, _ = st_b.step(sb)
-            np.testing.assert_array_equal(sa.u.values, sb.u.values)
+            np.testing.assert_array_equal(sa.u, sb.u)
 
     def test_truncation_bites_when_active(self):
         grid = GridSpec(16)
@@ -468,11 +475,35 @@ class TestStepMechanics:
         noise = NoisePath.generate(9, 1e-4, 5)
         reg = ModelForm(FormKind.REGULARIZED, eps=0.1, eta=0.0)
         trunc = ModelForm(FormKind.REGULARIZED_TRUNCATED, eps=0.1, eta=0.0, r_trunc=30.0)
-        sa = PathState(u=u0, step=0, noise=noise)
-        sb = PathState(u=u0, step=0, noise=noise)
-        sa, _ = EmImexStepper(grid, reg, noise.dt).step(sa)
-        sb, _ = EmImexStepper(grid, trunc, noise.dt).step(sb)
-        assert not np.array_equal(sa.u.values, sb.u.values)
+        sa, _ = EmImexStepper(grid, reg, noise.dt).step(one_row(u0, noise))
+        sb, _ = EmImexStepper(grid, trunc, noise.dt).step(one_row(u0, noise))
+        assert not np.array_equal(sa.u, sb.u)
+
+    @pytest.mark.parametrize("form", [
+        ModelForm(FormKind.REGULARIZED, eps=0.1),
+        ModelForm(FormKind.STRATONOVICH_MCF),
+    ], ids=lambda form: form.kind.value)
+    def test_a_path_state_steps_as_the_batch_of_one(self, form):
+        # the benchmark's size sweep steps a PathState; the stepper takes it
+        # as the batch of one and returns that batch, stepped
+        from smcflow.dynamics import PathState
+
+        grid = GridSpec(16)
+        noise = NoisePath.generate(21, 1e-6, 4)
+        u = smooth_u0(grid)
+        stepper = (HeunStratStepper if form.kind is FormKind.STRATONOVICH_MCF
+                   else EmImexStepper)(grid, form, noise.dt)
+        got, audit = stepper.step(PathState(u=u, step=2, noise=noise))
+        want, want_audit = stepper.step(PathBatch(u.values[None], 2, noise.increments[None]))
+        assert isinstance(got, PathBatch)
+        assert got.step == want.step == 3
+        assert got.u.shape == (1, 16, 16)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.increments.tobytes() == want.increments.tobytes()
+        for f in dataclasses.fields(StepAudit):
+            a, b = getattr(audit, f.name), getattr(want_audit, f.name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), f.name
+        assert (audit.hess_linf is None) == (form.kind is FormKind.STRATONOVICH_MCF)
 
 
 class TestSpatialConvergence:
@@ -535,11 +566,11 @@ class TestSelfConvergence:
         form = ModelForm(FormKind.ITO_MCF)
 
         def run(noise):
-            state = PathState(u=u0, step=0, noise=noise)
+            batch = one_row(u0, noise)
             stepper = EmImexStepper(grid, form, noise.dt)
             for _ in range(noise.n_steps):
-                state, _ = stepper.step(state)
-            return state.u.values
+                batch, _ = stepper.step(batch)
+            return batch.u[0]
 
         sq = np.zeros(3)
         for i in range(12):
@@ -564,12 +595,12 @@ class TestDecayRate:
         x1, _ = grid.nodes()
         u0 = ScalarField(grid, 1e-3 * np.sin(TWO_PI * x1))
         noise = NoisePath(0, 1e-4, 0, np.zeros(300))
-        state = PathState(u=u0, step=0, noise=noise)
+        batch = one_row(u0, noise)
         stepper = EmImexStepper(grid, ModelForm(FormKind.ITO_ANISOTROPIC), 1e-4)
-        energies = [grad_energy(state.u)]
+        energies = [grad_energy(u0)]
         for _ in range(300):
-            state, _ = stepper.step(state)
-            energies.append(grad_energy(state.u))
+            batch, _ = stepper.step(batch)
+            energies.append(grad_energy(ScalarField(grid, batch.u[0])))
         t = np.arange(301) * 1e-4
         rate = -0.5 * np.polyfit(t, np.log(energies), 1)[0]
         assert rate == pytest.approx(4.0 * math.pi**2, rel=0.01)
@@ -579,12 +610,12 @@ class TestDecayRate:
         x1, _ = grid.nodes()
         u0 = ScalarField(grid, 1e-3 * np.sin(TWO_PI * x1))
         noise = NoisePath(0, 1e-4, 0, np.zeros(300))
-        state = PathState(u=u0, step=0, noise=noise)
+        batch = one_row(u0, noise)
         stepper = HeunStratStepper(grid, ModelForm(FormKind.STRATONOVICH_MCF), 1e-4)
-        energies = [grad_energy(state.u)]
+        energies = [grad_energy(u0)]
         for _ in range(300):
-            state, _ = stepper.step(state)
-            energies.append(grad_energy(state.u))
+            batch, _ = stepper.step(batch)
+            energies.append(grad_energy(ScalarField(grid, batch.u[0])))
         t = np.arange(301) * 1e-4
         rate = -0.5 * np.polyfit(t, np.log(energies), 1)[0]
         assert rate == pytest.approx(4.0 * math.pi**2, rel=0.01)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smcflow.dynamics import FORM_READS, FormKind, ModelForm, NonFiniteFieldError, PathState
+from smcflow.dynamics import FORM_READS, FormKind, ModelForm, NonFiniteFieldError, PathBatch
 from smcflow import harness
 from smcflow.grid import GridSpec, ScalarField
 from smcflow.harness import (
@@ -205,7 +205,7 @@ class TestRunPath:
         assert res.steps_done == 0
         assert len(res.records) == 1    # the initial sample is still taken
         with pytest.raises(NonFiniteFieldError) as err:
-            make_stepper(cfg).step(PathState(huge, 0, noise))
+            make_stepper(cfg).step(PathBatch(huge.values[None], 0, noise.increments[None]))
         assert res.blowup_index == err.value.index
 
     def test_tau_r_stop_at_time_zero(self):

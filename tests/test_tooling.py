@@ -12,7 +12,8 @@ workspace methods that the tracer counts and ``tests/test_grid.py`` pins to
 keeps ``numpy.ma`` out of the package: numpy's ``np.unique``-based set
 routines import it (~1 MB resident) on their first call, so none is used.
 A fifth keeps ``PathState``, the one-path stepper input, inside
-``dynamics.py``: every run outside it advances a batch.
+``dynamics.py`` and the one test of its adapter: every run and every other
+test advances a batch.
 """
 import ast
 import dataclasses
@@ -32,7 +33,14 @@ from smcflow.dynamics import (
 )
 from smcflow.geometry import cofactor_flux_residual, geometry_bundle
 from smcflow.grid import divergence, gradient, hessian, laplacian
-from smcflow.harness import ModelConfig, run_ensemble, run_path, run_paths
+from smcflow.harness import (
+    EnsembleReport,
+    ModelConfig,
+    PathResult,
+    run_ensemble,
+    run_path,
+    run_paths,
+)
 from smcflow.monitors import MartingaleTracker, gradient_inequality_check, record_path_sample
 from smcflow.noise import NoisePath
 
@@ -113,6 +121,15 @@ def test_option_surface_is_pinned():
     ]
     assert params(run_paths) == ["cfg", "u0", "noises"]
     assert params(run_ensemble) == ["cfg", "u0", "n_paths", "base_seed"]
+    # what a run reports; the counts and tau_r_triggered are derived properties
+    assert [f.name for f in dataclasses.fields(PathResult)] == [
+        "seed", "records", "record_steps", "v_lap", "terminal", "steps_done",
+        "max_mass_residual", "censored", "blowup_step", "blowup_index", "tau_r_time",
+        "martingale_samples",
+    ]
+    assert [f.name for f in dataclasses.fields(EnsembleReport)] == [
+        "results", "wall_clock", "martingale",
+    ]
     assert params(EmImexStepper.__init__) == ["self", "grid", "form", "dt"]
     assert params(HeunStratStepper.__init__) == ["self", "grid", "form", "dt"]
     assert [f.name for f in dataclasses.fields(PathBatch)] == ["u", "step", "increments"]
@@ -257,21 +274,44 @@ def test_no_numpy_ma_in_the_package():
     assert hits == []
 
 
-def path_state_names(path):
-    """Lines of a file that name PathState (definition, import or use), as "file:line"."""
+# the test that steps a PathState as the benchmark's size sweep does
+ADAPTER_TEST = "test_a_path_state_steps_as_the_batch_of_one"
+
+
+def path_state_names(path, skip=None):
+    """Lines of a file that name PathState (definition, import or use), as "file:line".
+
+    Lines inside the function named ``skip`` are left out.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == skip:
+            skipped.update(range(node.lineno, node.end_lineno + 1))
     return [
         f"{path.relative_to(ROOT)}:{node.lineno}"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(tree)
         # Name.id, Attribute.attr, and ClassDef.name or an import's alias.name
         if "PathState" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+        and node.lineno not in skipped
     ]
 
 
 def test_path_state_stays_in_dynamics():
-    # the steppers still take a PathState from unit tests and the benchmark's
-    # size sweep; no other module builds or reads one
+    # the steppers still take a PathState from the benchmark's size sweep,
+    # outside this scan; no other module or test builds or reads one, bar
+    # the test of that adapter
     package = ROOT / "src" / "smcflow"
     assert path_state_names(package / "dynamics.py")  # the scan sees the class
-    others = sorted(p for p in package.glob("*.py") if p.name != "dynamics.py")
-    assert others
-    assert [hit for path in others for hit in path_state_names(path)] == []
+    adapter = ROOT / "tests" / "test_dynamics.py"
+    assert path_state_names(adapter)  # ... and the adapter test
+    others = sorted(
+        p for p in [*package.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+        if p.name != "dynamics.py"
+    )
+    assert adapter in others
+    hits = [
+        hit for path in others
+        for hit in path_state_names(path, ADAPTER_TEST if path == adapter else None)
+    ]
+    assert hits == []
