@@ -19,7 +19,6 @@ from .config import (
     to_model_config,
     with_config_keys,
 )
-from .dynamics import NonFiniteFieldError
 from .grid import GridSpec
 from .harness import (
     SWEEP_AXES,
@@ -32,12 +31,7 @@ from .harness import (
 )
 from .monitors import EnergyRecord, RECORD_FIELDS
 from .noise import NoisePath
-from .snapshot import (
-    SnapshotError,
-    read_snapshot,
-    write_series,
-    write_snapshot,
-)
+from .snapshot import read_snapshot, write_series, write_snapshot, write_table
 
 __all__ = ["main"]
 
@@ -84,10 +78,12 @@ def _build_parser() -> _Parser:
         default=None,
         help="write checkpoint.snap every N steps",
     )
+    run.set_defaults(func=_cmd_run)
 
     ens = sub.add_parser("ensemble", help="run a Monte Carlo ensemble")
     ens.add_argument("config")
     ens.add_argument("--output-dir", default=None)
+    ens.set_defaults(func=_cmd_ensemble)
 
     sw = sub.add_parser("sweep", help="shared-noise parameter sweep")
     sw.add_argument("config")
@@ -96,13 +92,17 @@ def _build_parser() -> _Parser:
         "--values", required=True, help="comma-separated values along the axis"
     )
     sw.add_argument("--output-dir", default=None)
+    sw.set_defaults(func=_cmd_sweep)
 
-    sub.add_parser("verify", help="run the built-in invariant suite")
+    sub.add_parser("verify", help="run the built-in invariant suite").set_defaults(
+        func=_cmd_verify
+    )
 
     res = sub.add_parser("resume", help="continue a run from checkpoint.snap")
     res.add_argument("config")
     res.add_argument("--checkpoint", required=True, help="snapshot to resume from")
     res.add_argument("--output-dir", default=None)
+    res.set_defaults(func=_cmd_resume)
     return p
 
 
@@ -142,7 +142,7 @@ def _cmd_resume(args) -> int:
     total = n_steps_of(cfg)
     if step > total:
         raise ConfigError(f"checkpoint step {step} beyond configured n_steps {total}")
-    if abs(t - step * cfg.dt) > 1e-12 * step * cfg.dt:
+    if not abs(t - step * cfg.dt) <= 1e-12 * step * cfg.dt:  # also refuses NaN
         raise ConfigError(
             f"checkpoint time t = {t!r} at step {step} does not match the config's "
             f"step * dt = {step * cfg.dt!r} (dt = {cfg.dt!r}); was dt changed?"
@@ -231,23 +231,17 @@ def _cmd_sweep(args) -> int:
     out = _outdir(cfg, args.output_dir)
     u0 = build_initial(cfg.initial_condition, mc.grid)
 
-    lines = []
+    # the first value has no predecessor to differ from
+    nan = float("nan")
     if args.axis == "eta":
         rep = sweep_eta(plan, u0)
-        lines.append("index,eta,mean_diff_from_prev")
-        for i, eta in enumerate(rep.etas):
-            d = rep.mean_diffs[i - 1] if i > 0 else float("nan")
-            lines.append("%d,%.17g,%.17g" % (i, eta, d))
+        header = "index,eta,mean_diff_from_prev"
+        rows = zip(rep.etas, (nan, *rep.mean_diffs))
         print(f"eta sweep Cauchy trend: {'ok' if rep.cauchy else 'NOT DECREASING'}")
     elif args.axis == "epsilon":
         rep = sweep_epsilon(plan, u0)
-        lines.append("index,eps,area_excess,grad_margin,mean_diff_from_prev")
-        for i, eps in enumerate(rep.eps_values):
-            d = rep.mean_diffs[i - 1] if i > 0 else float("nan")
-            lines.append(
-                "%d,%.17g,%.17g,%.17g,%.17g"
-                % (i, eps, rep.area_excess[i], rep.grad_margin[i], d)
-            )
+        header = "index,eps,area_excess,grad_margin,mean_diff_from_prev"
+        rows = zip(rep.eps_values, rep.area_excess, rep.grad_margin, (nan, *rep.mean_diffs))
         print(f"epsilon sweep gradient bound uniform: {rep.grad_uniform}")
         # the budget identity counts neither the -eta Delta^(2K) u drift nor
         # the Hessian clip, so its closure means nothing once either acts
@@ -271,14 +265,13 @@ def _cmd_sweep(args) -> int:
                   file=sys.stderr)
     else:
         rep = sweep_R(plan, u0)
-        lines.append("index,R,trigger_fraction")
-        for i, r in enumerate(rep.r_values):
-            lines.append("%d,%.17g,%.17g" % (i, r, rep.trigger_fraction[i]))
+        header = "index,R,trigger_fraction"
+        rows = zip(rep.r_values, rep.trigger_fraction)
         print(
             f"R sweep: fractions nonincreasing={rep.fraction_nonincreasing}, "
             f"inert at largest R={rep.untriggered_bit_identical}"
         )
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(out / "sweep.csv", header, [(i, *row) for i, row in enumerate(rows)])
     return EXIT_OK
 
 
@@ -287,10 +280,10 @@ def _cmd_verify(_args) -> int:
 
     results = run_all()
     failed = 0
-    for r in results:
-        tag = "ok" if r.ok else "FAIL"
-        print(f"[{tag:>4}] {r.name}: {r.detail}")
-        failed += 0 if r.ok else 1
+    for name, ok, detail in results:
+        tag = "ok" if ok else "FAIL"
+        print(f"[{tag:>4}] {name}: {detail}")
+        failed += 0 if ok else 1
     if failed:
         print(f"{failed}/{len(results)} checks failed", file=sys.stderr)
         return EXIT_VALIDATION
@@ -299,30 +292,13 @@ def _cmd_verify(_args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "ensemble":
-            return _cmd_ensemble(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "resume":
-            return _cmd_resume(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NonFiniteFieldError as e:
-        print(f"runtime abort: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except SnapshotError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
+    except OSError as e:  # SnapshotError among them
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
 

@@ -81,25 +81,16 @@ _DEFAULTS = RunConfig()
 _FORM_NAMES = tuple(k.value for k in FormKind)
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_value(key: str, raw: str):
+    """raw as the type of key's RunConfig default; a str key stays raw."""
+    kind = type(getattr(_DEFAULTS, key))
+    if kind is str:
+        return raw
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}")
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}")
-
-
-# each key parses as the type of its RunConfig default; str keys stay raw
-_KEY_PARSERS = {
-    f.name: {int: _parse_int, float: _parse_float}.get(type(f.default))
-    for f in fields(RunConfig)
-}
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}")
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -157,12 +148,11 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _KEY_PARSERS:
+        if key not in _KEY_ORDER:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        parse = _KEY_PARSERS[key]
-        values[key] = parse(key, raw) if parse else raw
+        values[key] = _parse_value(key, raw)
     return _validate(RunConfig(**values))
 
 

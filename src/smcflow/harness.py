@@ -163,8 +163,9 @@ def run_path(
 
     A deterministic run passes a zero path, NoisePath(seed, dt, 0,
     np.zeros(n_steps)). start_step > 0 resumes from a checkpointed field (u0
-    is then the state at that step); a run ends at cfg.n_steps, so a shorter
-    one sets a smaller n_steps on a noise path of any length that covers it.
+    is then the state at that step) and refuses cfg.martingale_steps; a run
+    ends at cfg.n_steps, so a shorter one sets a smaller n_steps on a noise
+    path of any length that covers it.
     checkpoint_cb(field, step) is invoked every checkpoint_every completed
     steps. The path runs as the batch of one of the ensemble loop.
     """
@@ -173,6 +174,11 @@ def run_path(
         stepper = make_stepper(cfg)
     if not 0 <= start_step <= cfg.n_steps:
         raise ValueError("start_step outside [0, n_steps]")
+    if cfg.martingale_steps and start_step:
+        raise ValueError(
+            "martingale_steps cannot be combined with start_step > 0: the martingale "
+            "is defined from u0 at t = 0, which a resumed segment does not hold"
+        )
     (result,) = _run_batch(
         cfg, stepper, u0.values[None], [noise], start_step, checkpoint_every, checkpoint_cb
     )

@@ -4,12 +4,11 @@ Fast, deterministic, no files: operator identities, geometry identities
 (the cofactor flux identity behind the energy method among them),
 flat-graph exactness, truncation transparency, a small flat-ensemble
 martingale check, and noise refinement/replay. Each check returns a pass
-flag and a one-line detail for the CLI to print.
+flag and a one-line detail; run_all gives the CLI (name, ok, detail).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,14 +30,7 @@ from .grid import (
 from .harness import ModelConfig, run_ensemble, run_path
 from .noise import NoisePath
 
-__all__ = ["CheckResult", "run_all"]
-
-
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+__all__ = ["run_all"]
 
 
 def check_spectral_roundtrip() -> tuple[bool, str]:
@@ -230,12 +222,13 @@ ALL_CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
-def run_all() -> list[CheckResult]:
+def run_all() -> list[tuple[str, bool, str]]:
+    """(name, ok, detail) of every check in ALL_CHECKS, in order."""
     out = []
     for name, fn in ALL_CHECKS:
         try:
             ok, detail = fn()
         except Exception as e:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(e).__name__}: {e}"
-        out.append(CheckResult(name=name, ok=ok, detail=detail))
+        out.append((name, ok, detail))
     return out

@@ -9,13 +9,15 @@ Snapshot layout (little endian):
     trailer       CRC32 of the payload, u32
 
 CSV series use the fixed 10-column header and 17-significant-digit floats,
-so a written file reparses to bit-identical values.
+so a written file reparses to bit-identical values. Every CSV table (the
+sweep tables too) is formatted by format_table and written by write_table
+with "\n" line ends on every platform.
 """
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,8 +34,10 @@ __all__ = [
     "read_snapshot",
     "snapshot_payload_crc",
     "CSV_HEADER",
+    "format_table",
     "format_series",
     "parse_series",
+    "write_table",
     "write_series",
     "read_series",
 ]
@@ -110,11 +114,14 @@ def snapshot_payload_crc(path) -> int:
 # ---------------------------------------------------------------------------
 # CSV series
 
-def format_series(records: Sequence[EnergyRecord]) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(",".join("%.17g" % v for v in rec.as_row()))
+def format_table(header: str, rows: Iterable[Sequence[float]]) -> str:
+    """The header line, then one line of %.17g numbers per row."""
+    lines = [header, *(",".join("%.17g" % v for v in row) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def format_series(records: Sequence[EnergyRecord]) -> str:
+    return format_table(CSV_HEADER, (rec.as_row() for rec in records))
 
 
 def parse_series(text: str) -> list[EnergyRecord]:
@@ -131,9 +138,13 @@ def parse_series(text: str) -> list[EnergyRecord]:
     return out
 
 
-def write_series(path, records: Sequence[EnergyRecord]):
+def write_table(path, header: str, rows: Iterable[Sequence[float]]):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(format_series(records))
+        f.write(format_table(header, rows))
+
+
+def write_series(path, records: Sequence[EnergyRecord]):
+    write_table(path, CSV_HEADER, (rec.as_row() for rec in records))
 
 
 def read_series(path) -> list[EnergyRecord]:

@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from smcflow import harness
+from smcflow import harness, selfcheck
 from smcflow.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from smcflow.snapshot import read_snapshot, snapshot_payload_crc
 
@@ -248,6 +248,43 @@ class TestResume:
         assert "was dt changed" in capsys.readouterr().err
         assert not (out / "final.snap").exists()
 
+    def test_nan_time_is_validation_error(self, tmp_path, capsys):
+        # the header's t is outside the payload CRC; a NaN t used to pass the
+        # step * dt comparison and resume with exit 0
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(
+            ["run", cfg, "--output-dir", str(out), "--stop-after-steps", "9"]
+        ) == EXIT_OK
+        capsys.readouterr()
+        ckpt = out / "checkpoint.snap"
+        blob = bytearray(ckpt.read_bytes())
+        struct.pack_into("<d", blob, 10, float("nan"))  # t follows magic, version, n
+        ckpt.write_bytes(bytes(blob))
+        code = main(["resume", cfg, "--checkpoint", str(ckpt), "--output-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: checkpoint time t = nan at step 9")
+        assert not (out / "final.snap").exists()
+
+    def test_checkpoint_beyond_the_run_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(
+            ["run", cfg, "--output-dir", str(out), "--stop-after-steps", "9"]
+        ) == EXIT_OK
+        capsys.readouterr()
+        short = write_cfg(tmp_path, BASE_CFG.replace("T = 0.02", "T = 0.005"), name="short.cfg")
+        code = main(
+            ["resume", short, "--checkpoint", str(out / "checkpoint.snap"),
+             "--output-dir", str(out)]
+        )
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: checkpoint step 9 beyond configured n_steps 5\n"
+        )
+        assert not (out / "final.snap").exists()
+
     def test_changed_base_seed_is_validation_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"
@@ -276,6 +313,20 @@ class TestEnsembleCommand:
         monkeypatch.setattr(harness, "worker_count", lambda: 4)
         assert main(["ensemble", cfg, "--output-dir", str(out_4)]) == EXIT_OK
         assert (out_1 / "ensemble.csv").read_bytes() == (out_4 / "ensemble.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_excessive_censoring_exits_runtime(self, tmp_path, capsys):
+        # this amplitude censors every path in step 1
+        text = BASE_CFG.replace("n_paths = 4", "n_paths = 3").replace(
+            "modes:[(1,0,0.2,0.0),(0,1,0.1,0.5)]", "modes:[(1,0,1e160,0.0)]"
+        )
+        out = tmp_path / "boom"
+        argv = ["ensemble", write_cfg(tmp_path, text), "--output-dir", str(out)]
+        assert main(argv) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "aborted: 3/3 paths censored (rate 100.00% > 1%)\n" in captured.err
+        assert not (out / "ensemble.csv").exists()
 
 
 class TestSweepCommand:
@@ -443,6 +494,21 @@ class TestVerifyCommand:
         assert "cofactor flux residual" in out
         assert "FAIL" not in out
 
+    def test_failing_and_raising_checks_exit_validation(self, capsys, monkeypatch):
+        def raises():
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(selfcheck, "ALL_CHECKS", (
+            ("fails", lambda: (False, "defect 1.0e+00")), ("raises", raises),
+        ))
+        assert main(["verify"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "[FAIL] fails: defect 1.0e+00\n"
+            "[FAIL] raises: raised ZeroDivisionError: division by zero\n"
+        )
+        assert captured.err == "2/2 checks failed\n"
+
 
 class TestErrorPaths:
     def test_bad_config_is_validation_error(self, tmp_path, capsys):
@@ -515,6 +581,16 @@ class TestErrorPaths:
         assert main(["run", cfg, "--output-dir", str(out), flag, value]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: argument {flag}: must be at least 1, got {value}\n", err)
+        assert not out.exists()
+
+    def test_non_integer_step_flag_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        argv = ["run", cfg, "--output-dir", str(out), "--checkpoint-every", "abc"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: argument --checkpoint-every: invalid int value: 'abc'\n"
+        )
         assert not out.exists()
 
     def test_bad_arguments_are_validation_errors(self, capsys):

@@ -182,6 +182,20 @@ class TestRunPath:
         assert second.steps_done == 10
         np.testing.assert_array_equal(second.terminal.values, full.terminal.values)
 
+    def test_resumed_segment_refuses_martingale_steps(self):
+        # the tracker counts from the segment's first step, so a segment resumed
+        # at step 30 used to label W(80) - W(30) as the step-50 sample and drop
+        # the step-100 one
+        class NoSteps:
+            def step(self, batch):
+                raise AssertionError("a step ran before the options were checked")
+
+        cfg = ito_config(n_steps=100, martingale_steps=(50, 100))
+        noise = NoisePath.generate(5, cfg.dt, cfg.n_steps)
+        first = run_path(replace(cfg, n_steps=30, martingale_steps=()), smooth_u0(cfg.grid), noise)
+        with pytest.raises(ValueError, match="martingale_steps .* with start_step > 0"):
+            run_path(cfg, first.terminal, noise, stepper=NoSteps(), start_step=30)
+
     def test_checkpoint_callback_cadence(self):
         cfg = ito_config(n_steps=20)
         seen = []

@@ -13,7 +13,9 @@ keeps ``numpy.ma`` out of the package: numpy's ``np.unique``-based set
 routines import it (~1 MB resident) on their first call, so none is used.
 A fifth keeps ``PathState``, the one-path stepper input, inside
 ``dynamics.py`` and the one test of its adapter: every run and every other
-test advances a batch.
+test advances a batch. A sixth keeps file writes inside ``snapshot.py``,
+whose writers fix the line ends and the number format, bar the result pipe
+of ``harness.py``'s workers.
 """
 import ast
 import dataclasses
@@ -313,5 +315,63 @@ def test_path_state_stays_in_dynamics():
     hits = [
         hit for path in others
         for hit in path_state_names(path, ADAPTER_TEST if path == adapter else None)
+    ]
+    assert hits == []
+
+
+# the one write outside snapshot.py: a forked worker's end of its result pipe
+RESULT_PIPE = "open(write_fd, 'wb')"
+
+
+def file_writes(tree):
+    """open() in a write mode, write_text and write_bytes in a module, as (line, what)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Attribute) and fn.attr in ("write_text", "write_bytes"):
+            hit = True
+        elif (isinstance(fn, ast.Name) and fn.id == "open") or (
+            isinstance(fn, ast.Attribute) and fn.attr == "open"
+        ):
+            # open(file, mode) and io.open(file, mode), but Path.open(mode)
+            module = isinstance(fn, ast.Name) or (
+                isinstance(fn.value, ast.Name) and fn.value.id in ("io", "os", "builtins")
+            )
+            at = 1 if module else 0
+            mode = node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None
+            )
+            # a mode that is not a literal could be a write mode
+            hit = mode is not None and not (
+                isinstance(mode, ast.Constant) and not set("wax+") & set(str(mode.value))
+            )
+        else:
+            continue
+        if hit:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_file_writes_stay_in_snapshot():
+    # the scan sees every form of write, and no read
+    sample = ast.parse(
+        "open(p, 'w')\nopen(p, mode='ab')\nio.open(p, 'r+')\nopen(p, m)\np.open('x')\n"
+        "p.write_text(s)\np.write_bytes(b)\nopen(p)\nopen(p, 'rb')\np.open('r')\n"
+        "p.read_text()\n"
+    )
+    assert [line for line, _ in file_writes(sample)] == [1, 2, 3, 4, 5, 6, 7]
+    package = ROOT / "src" / "smcflow"
+
+    def writes(path):
+        return file_writes(ast.parse(path.read_text(encoding="utf-8")))
+
+    assert writes(package / "snapshot.py")  # the scan sees snapshot's writers
+    assert [what for _, what in writes(package / "harness.py")] == [RESULT_PIPE]
+    others = sorted(p for p in package.glob("*.py") if p.name not in ("snapshot.py", "harness.py"))
+    assert others
+    hits = [
+        f"{path.relative_to(ROOT)}:{line}: {what}" for path in others for line, what in writes(path)
     ]
     assert hits == []
